@@ -48,24 +48,14 @@ namespace {
 
 /// Every constant mentioned by a formula must be interpreted by the
 /// database — constants interned into the vocabulary *after* the database
-/// was built (e.g. by parsing a later query) have no assigned value. One
-/// helper serves both the per-call formula walk (`SatisfiesWith`) and the
-/// cached constant list of the batched path, so their errors stay
-/// identical.
-Status CheckConstantInterpreted(const PhysicalDatabase& db, ConstId c) {
-  if (!db.HasConstantValue(c)) {
-    return Status::FailedPrecondition(
-        "constant '" + db.vocab().ConstantName(c) +
-        "' has no interpretation in this database (was it added after "
-        "the database was built?)");
-  }
-  return Status::OK();
-}
-
+/// was built (e.g. by parsing a later query) have no assigned value. The
+/// per-call formula walk (`SatisfiesWith`) and the cached constant list of
+/// the batched path both report `LookupConstant`'s status, so their errors
+/// stay identical.
 Status CheckConstantsInterpreted(const PhysicalDatabase& db,
                                  const FormulaPtr& f) {
   for (ConstId c : ConstantsOf(f)) {
-    LQDB_RETURN_IF_ERROR(CheckConstantInterpreted(db, c));
+    LQDB_RETURN_IF_ERROR(db.LookupConstant(c).status());
   }
   return Status::OK();
 }
@@ -102,7 +92,7 @@ Status Evaluator::SatisfiesBatch(const BoundQuery& bound, const Value* values,
                                  size_t count, std::vector<char>* out) {
   LQDB_RETURN_IF_ERROR(db_->Validate());
   for (ConstId c : bound.constants()) {
-    LQDB_RETURN_IF_ERROR(CheckConstantInterpreted(*db_, c));
+    LQDB_RETURN_IF_ERROR(db_->LookupConstant(c).status());
   }
   for (PredId pred : bound.so_predicates()) {
     LQDB_RETURN_IF_ERROR(CheckSoPredFeasible(pred));

@@ -1,7 +1,6 @@
 #include "lqdb/eval/kernel_memo.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace lqdb {
 
@@ -222,7 +221,7 @@ int KernelMemo::LookupRow(uint32_t sig_id, const Value* row,
   for (; node != nullptr; node = node->next) {
     if (node->hash == hash && node->sig_id == sig_id &&
         node->arity == arity &&
-        std::memcmp(node->row.data(), row, arity * sizeof(Value)) == 0) {
+        std::equal(node->row.begin(), node->row.end(), row)) {
       return node->verdict ? 1 : 0;
     }
   }
@@ -239,7 +238,7 @@ void KernelMemo::InsertRow(uint32_t sig_id, const Value* row, size_t arity,
        node = node->next) {
     if (node->hash == hash && node->sig_id == sig_id &&
         node->arity == arity &&
-        std::memcmp(node->row.data(), row, arity * sizeof(Value)) == 0) {
+        std::equal(node->row.begin(), node->row.end(), row)) {
       return;  // first writer wins
     }
   }

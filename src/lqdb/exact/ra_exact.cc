@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "lqdb/cwdb/mapping.h"
+#include "lqdb/cwdb/ph.h"
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/executor.h"
@@ -59,12 +60,12 @@ struct RaMemoState {
 
 /// One mapping of an RA Theorem 1 sweep, memo first: fills `verdicts[k]`
 /// with candidate k's truth under the image of `h`, consulting the kernel
-/// memo before touching the image — a full hit skips both the image build
-/// and the plan execution — and otherwise running the (semijoin-reduced)
-/// plan with only the missing candidates bound to the parameter.
-Status RaEvalUnderMapping(const CwDatabase& lb, const ConstMapping& h,
-                          const ReducedPlan& red, RaExecutor* exec,
-                          PhysicalDatabase* image, size_t arity,
+/// memo before touching the plan — a full hit skips the execution — and
+/// otherwise running the (semijoin-reduced) plan with only the missing
+/// candidates bound to the parameter. `exec` reads `Ph₁(LB)`; reading it
+/// through `h` is reading the image `h(Ph₁(LB))`, so no image is built.
+Status RaEvalUnderMapping(const ConstMapping& h, const ReducedPlan& red,
+                          RaExecutor* exec, size_t arity,
                           const std::vector<Tuple>& candidates,
                           RaMemoState* memo, std::vector<char>* verdicts,
                           std::vector<Value>* cand) {
@@ -100,7 +101,7 @@ Status RaEvalUnderMapping(const CwDatabase& lb, const ConstMapping& h,
     }
   }
 
-  ApplyMappingInto(lb, h, image);
+  exec->ReadThrough(&h);
   const size_t misses = memo->miss.size();
   cand->resize(misses * arity);
   for (size_t j = 0; j < misses; ++j) {
@@ -131,7 +132,9 @@ Status RaEvalUnderMapping(const CwDatabase& lb, const ConstMapping& h,
 
 const ReducedPlan& RaExactEvaluator::ReducedFor(const PlanPtr& plan) {
   auto it = reduced_cache_.find(plan.get());
-  if (it != reduced_cache_.end()) return it->second;
+  if (it != reduced_cache_.end() && !it->second.plan.expired()) {
+    return it->second.reduced;
+  }
   ReducedPlan entry;
   Result<ReducedPlan> red = SemijoinReduce(plan);
   if (red.ok()) {
@@ -150,7 +153,9 @@ const ReducedPlan& RaExactEvaluator::ReducedFor(const PlanPtr& plan) {
   assert(verdict.ok() && "semijoin-reduced plan failed static validation");
   (void)verdict;
 #endif
-  return reduced_cache_.emplace(plan.get(), std::move(entry)).first->second;
+  ReducedEntry& slot = reduced_cache_[plan.get()];
+  slot = {plan, std::move(entry)};
+  return slot.reduced;
 }
 
 Result<BoundQuery> RaExactEvaluator::Prepare(const Query& query) {
@@ -226,8 +231,8 @@ Result<Relation> RaExactEvaluator::AnswerPrepared(const BoundQuery& bound) {
 
   Status error = Status::OK();
   uint64_t examined = 0;
-  PhysicalDatabase image(&lb_->vocab());
-  RaExecutor exec(&image);
+  const PhysicalDatabase ph1 = MakePh1(*lb_);
+  RaExecutor exec(&ph1);
   RaMemoState memo(*lb_, bound, options_);
   std::vector<Value> cand;
   std::vector<char> verdicts;
@@ -237,8 +242,8 @@ Result<Relation> RaExactEvaluator::AnswerPrepared(const BoundQuery& bound) {
           "exceeded max_mappings = " + std::to_string(options_.max_mappings));
       return false;
     }
-    Status s = RaEvalUnderMapping(*lb_, h, red, &exec, &image, arity, alive,
-                                  &memo, &verdicts, &cand);
+    Status s = RaEvalUnderMapping(h, red, &exec, arity, alive, &memo,
+                                  &verdicts, &cand);
     if (!s.ok()) {
       error = s;
       return false;
@@ -280,8 +285,8 @@ Result<bool> RaExactEvaluator::Contains(const Query& query,
   bool contained = true;
   Status error = Status::OK();
   uint64_t examined = 0;
-  PhysicalDatabase image(&lb_->vocab());
-  RaExecutor exec(&image);
+  const PhysicalDatabase ph1 = MakePh1(*lb_);
+  RaExecutor exec(&ph1);
   RaMemoState memo(*lb_, bound, options_);
   // A single-candidate sweep is where the reduction bites hardest: every
   // scan is filtered down to rows matching the one mapped tuple before any
@@ -297,8 +302,8 @@ Result<bool> RaExactEvaluator::Contains(const Query& query,
           "exceeded max_mappings = " + std::to_string(options_.max_mappings));
       return false;
     }
-    Status s = RaEvalUnderMapping(*lb_, h, red, &exec, &image, arity,
-                                  candidates, &memo, &verdicts, &cand);
+    Status s = RaEvalUnderMapping(h, red, &exec, arity, candidates, &memo,
+                                  &verdicts, &cand);
     if (!s.ok()) {
       error = s;
       return false;
@@ -350,8 +355,8 @@ Result<Relation> RaExactEvaluator::PossiblePrepared(const BoundQuery& bound) {
   Relation answer(static_cast<int>(arity));
   Status error = Status::OK();
   uint64_t examined = 0;
-  PhysicalDatabase image(&lb_->vocab());
-  RaExecutor exec(&image);
+  const PhysicalDatabase ph1 = MakePh1(*lb_);
+  RaExecutor exec(&ph1);
   RaMemoState memo(*lb_, bound, options_);
   std::vector<Value> cand;
   std::vector<char> verdicts;
@@ -361,8 +366,8 @@ Result<Relation> RaExactEvaluator::PossiblePrepared(const BoundQuery& bound) {
           "exceeded max_mappings = " + std::to_string(options_.max_mappings));
       return false;
     }
-    Status s = RaEvalUnderMapping(*lb_, h, red, &exec, &image, arity, pending,
-                                  &memo, &verdicts, &cand);
+    Status s = RaEvalUnderMapping(h, red, &exec, arity, pending, &memo,
+                                  &verdicts, &cand);
     if (!s.ok()) {
       error = s;
       return false;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -20,10 +21,11 @@ namespace lqdb {
 /// query body is compiled once to a relational-algebra plan (`RaCompiler`,
 /// with join ordering driven by the logical database's fact counts), and
 /// the canonical-mapping enumeration executes the cached plan against each
-/// image database via `RaExecutor` — hash joins and anti-joins instead of
-/// the tuple-at-a-time Tarskian walk. This is the §5 move of compiling the
-/// logical query onto a standard relational system, applied to the hot
-/// per-mapping satisfaction check.
+/// image via `RaExecutor` — hash joins and anti-joins instead of the
+/// tuple-at-a-time Tarskian walk. No image is built: the executor reads
+/// `Ph₁(LB)`, made once per call, through each mapping `h`. This is the §5
+/// move of compiling the logical query onto a standard relational system,
+/// applied to the hot per-mapping satisfaction check.
 ///
 /// Queries outside the compilable first-order fragment (second-order
 /// quantification) fall back to the batched `Evaluator::SatisfiesBatch`
@@ -101,9 +103,16 @@ class RaExactEvaluator {
   bool last_used_ra_ = false;
   /// Query identity → compiled plan; null = known uncompilable.
   std::map<std::string, PlanPtr> plan_cache_;
-  /// Compiled plan → its semijoin reduction (keyed by node identity; the
-  /// plan cache keeps the nodes alive for the evaluator's lifetime).
-  std::unordered_map<const Plan*, ReducedPlan> reduced_cache_;
+  /// Compiled plan → its semijoin reduction, keyed by node identity. The
+  /// entry holds its plan weakly: a prepared binding's plan may be freed
+  /// after the call, and a later plan allocated at the same address must
+  /// not be served the freed plan's reduction, so an expired entry is
+  /// rebuilt.
+  struct ReducedEntry {
+    std::weak_ptr<const Plan> plan;
+    ReducedPlan reduced;
+  };
+  std::unordered_map<const Plan*, ReducedEntry> reduced_cache_;
 };
 
 }  // namespace lqdb

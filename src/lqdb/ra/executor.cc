@@ -24,8 +24,40 @@ Result<RaTable> RaExecutor::Execute(const PlanPtr& plan) {
 }
 
 Result<const RaTableView*> RaExecutor::ExecuteView(const PlanPtr& plan) {
+  Reload();
+  if (map_ != nullptr && map_->size() < value_bound_) {
+    return Status::InvalidArgument(
+        "the mapping read through does not cover every database value");
+  }
   ++epoch_;
   return Exec(plan);
+}
+
+void RaExecutor::Reload() {
+  if (facts_version_ == db_->version()) return;
+  facts_version_ = db_->version();
+  facts_.clear();
+  fact_spans_.assign(db_->vocab().num_predicates(), FactSpan{});
+  for (PredId p = 0; p < fact_spans_.size(); ++p) {
+    if (!db_->HasRelation(p)) continue;
+    const Relation& rel = db_->relation(p);
+    fact_spans_[p] = {facts_.size(), rel.size()};
+    for (const Tuple& t : rel.tuples()) {
+      facts_.insert(facts_.end(), t.begin(), t.end());
+    }
+  }
+  // The domain holds every constant's value; stored tuples normally lie
+  // inside it too, but `SetRelation` does not check that.
+  value_bound_ = 0;
+  for (Value v : db_->domain()) {
+    value_bound_ = std::max(value_bound_, size_t{v} + 1);
+  }
+  for (Value v : facts_) value_bound_ = std::max(value_bound_, size_t{v} + 1);
+}
+
+Result<Value> RaExecutor::ConstantValue(ConstId c) const {
+  LQDB_ASSIGN_OR_RETURN(const Value v, db_->LookupConstant(c));
+  return Read(v);
 }
 
 Result<const RaTableView*> RaExecutor::Exec(const PlanPtr& plan) {
@@ -152,23 +184,33 @@ void RaExecutor::ResetOut(const Plan& plan, Slot* slot) {
 }
 
 Status RaExecutor::ExecScan(const Plan& plan, Slot* slot) {
-  const Relation& stored = db_->relation(plan.pred());
   ResetOut(plan, slot);
+  // Selections compare mapped values: a stored row passes a constant
+  // column when the mapping sends its value where it sends the constant,
+  // and a repeated variable when the mapping merges the two values.
+  std::vector<Value>& consts = key_scratch_;
+  consts.resize(slot->const_filters.size());
+  for (size_t i = 0; i < consts.size(); ++i) {
+    LQDB_ASSIGN_OR_RETURN(consts[i],
+                          ConstantValue(slot->const_filters[i].second));
+  }
+  const size_t arity = plan.scan_columns().size();
+  const FactSpan span = plan.pred() < fact_spans_.size()
+                            ? fact_spans_[plan.pred()]
+                            : FactSpan{};
   row_scratch_.resize(slot->key_a.size());
-  for (const Tuple& t : stored.tuples()) {
+  for (size_t r = 0; r < span.rows; ++r) {
+    const Value* t = facts_.data() + span.offset + r * arity;
     bool keep = true;
-    for (const auto& cf : slot->const_filters) {
-      if (t[cf.first] != db_->ConstantValue(cf.second)) {
-        keep = false;
-        break;
-      }
+    for (size_t i = 0; keep && i < consts.size(); ++i) {
+      keep = Read(t[slot->const_filters[i].first]) == consts[i];
     }
     for (size_t i = 0; keep && i < slot->extra.size(); i += 2) {
-      keep = t[slot->extra[i]] == t[slot->extra[i + 1]];
+      keep = Read(t[slot->extra[i]]) == Read(t[slot->extra[i + 1]]);
     }
     if (!keep) continue;
     for (size_t i = 0; i < slot->key_a.size(); ++i) {
-      row_scratch_[i] = t[slot->key_a[i]];
+      row_scratch_[i] = Read(t[slot->key_a[i]]);
     }
     slot->table.rows.Insert(row_scratch_.data());
   }
@@ -180,7 +222,7 @@ Status RaExecutor::ExecConstTuples(const Plan& plan, Slot* slot) {
   row_scratch_.resize(plan.schema().size());
   for (const auto& row : plan.rows()) {
     for (size_t i = 0; i < row.size(); ++i) {
-      row_scratch_[i] = db_->ConstantValue(row[i]);
+      LQDB_ASSIGN_OR_RETURN(row_scratch_[i], ConstantValue(row[i]));
     }
     slot->table.rows.Insert(row_scratch_.data());
   }
@@ -189,23 +231,25 @@ Status RaExecutor::ExecConstTuples(const Plan& plan, Slot* slot) {
 
 Status RaExecutor::ExecConstCompare(const Plan& plan, Slot* slot) {
   ResetOut(plan, slot);
-  if (db_->ConstantValue(plan.compare_lhs()) ==
-      db_->ConstantValue(plan.compare_rhs())) {
-    slot->table.rows.Insert(row_scratch_.data());
-  }
+  LQDB_ASSIGN_OR_RETURN(const Value lhs, ConstantValue(plan.compare_lhs()));
+  LQDB_ASSIGN_OR_RETURN(const Value rhs, ConstantValue(plan.compare_rhs()));
+  if (lhs == rhs) slot->table.rows.Insert(row_scratch_.data());
   return Status::OK();
 }
 
 Status RaExecutor::ExecDomainScan(const Plan& plan, Slot* slot) {
   ResetOut(plan, slot);
-  for (Value v : db_->domain()) slot->table.rows.Insert(&v);
+  for (Value v : db_->domain()) {
+    const Value mapped = Read(v);
+    slot->table.rows.Insert(&mapped);
+  }
   return Status::OK();
 }
 
 Status RaExecutor::ExecEqDomain(const Plan& plan, Slot* slot) {
   ResetOut(plan, slot);
   for (Value v : db_->domain()) {
-    const Value pair[2] = {v, v};
+    const Value pair[2] = {Read(v), Read(v)};
     slot->table.rows.Insert(pair);
   }
   return Status::OK();

@@ -43,9 +43,21 @@ struct RaTableView {
 /// every distinct node is evaluated exactly once, keeping execution linear
 /// in `Plan::NumUniqueNodes()` rather than the tree size.
 ///
-/// Storage is built for the Theorem 1 inner loop — the same cached plan
-/// executed against thousands of image databases:
+/// The executor reads its database *through a mapping* of the values
+/// (`ReadThrough`), identity by default. Theorem 1 checks every candidate
+/// in every image `h(Ph₁(LB))`, and an image is only `Ph₁(LB)` with its
+/// values renamed by `h`, so executing over `Ph₁(LB)` read through `h`
+/// answers exactly what executing over the built image would — without
+/// building it: scans emit `h[v]` for every stored value `v`, constant and
+/// repeated-variable selections compare mapped values, a constant `c`
+/// denotes `h[I(c)]`, and the domain reads as `h(domain)`.
 ///
+/// Storage is built for that inner loop — the same cached plan executed
+/// under thousands of mappings:
+///
+///   - the stored relations are copied once into one flat row-major array
+///     and re-copied only when the database changes (`version()`), so the
+///     scans of a sweep walk contiguous rows and no image is built;
 ///   - every plan node owns a slot holding an arena-backed `FlatTable`
 ///     (flat row array + open-addressing slot array) that is emptied, not
 ///     destroyed, between executions, so the steady state performs **no
@@ -54,7 +66,7 @@ struct RaTableView {
 ///     key-set scratch is recycled the same way;
 ///   - per-node column metadata (join keys, projection positions, scan
 ///     filters) depends only on the plan shape, so it is computed once per
-///     node and reused for every image;
+///     node and reused for every mapping;
 ///   - slots are validated by an execution epoch, which scopes the memo to
 ///     one execution even though the storage persists.
 ///
@@ -62,6 +74,8 @@ struct RaTableView {
 /// returns an owned `Relation` copy for one-shot callers.
 class RaExecutor {
  public:
+  /// Reads `db`, which must outlive the executor. `db` may change between
+  /// executions; each execution sees its current contents.
   explicit RaExecutor(const PhysicalDatabase* db) : db_(db) {}
 
   /// Executes `plan` and returns an owned copy of the root table.
@@ -71,6 +85,13 @@ class RaExecutor {
   /// storage — no copy. Valid until the next `Execute`/`ExecuteView` call
   /// on this executor (or its destruction).
   Result<const RaTableView*> ExecuteView(const PlanPtr& plan);
+
+  /// Makes later executions read every database value `v` as `(*h)[v]`
+  /// (see the class comment); null restores the identity. `h` is borrowed
+  /// and must stay valid, unchanged, across the executions that read
+  /// through it. An execution fails with `InvalidArgument` when `h` does
+  /// not cover every value of the database.
+  void ReadThrough(const std::vector<ConstId>* h) { map_ = h; }
 
   /// Binds the rows a `kParam` node produces: `count` rows of the node's
   /// arity, flat row-major. The buffer is borrowed — it must stay valid
@@ -83,7 +104,7 @@ class RaExecutor {
  private:
   /// A per-plan-node result table plus reusable scratch. `epoch` records
   /// the execution that last filled `table`; a stale epoch means the rows
-  /// belong to a previous image database and must be rebuilt.
+  /// belong to a previous execution and must be rebuilt.
   struct Slot {
     RaTableView table;
     uint64_t epoch = 0;
@@ -128,12 +149,39 @@ class RaExecutor {
   /// Empties `slot`'s table for this node's schema, keeping capacity.
   void ResetOut(const Plan& plan, Slot* slot);
 
+  /// Re-copies the stored relations into `facts_` when the database
+  /// changed since the last copy.
+  void Reload();
+
+  /// Database value `v` as the current mapping reads it.
+  Value Read(Value v) const { return map_ == nullptr ? v : (*map_)[v]; }
+
+  /// The value constant `c` denotes under the current mapping;
+  /// `FailedPrecondition` when the database does not interpret `c`.
+  Result<Value> ConstantValue(ConstId c) const;
+
   struct ParamBinding {
     const Value* rows = nullptr;
     size_t count = 0;
   };
 
+  /// One stored relation's rows within `facts_`.
+  struct FactSpan {
+    size_t offset = 0;
+    size_t rows = 0;
+  };
+
   const PhysicalDatabase* db_;
+  const std::vector<ConstId>* map_ = nullptr;
+  /// Every stored relation, row-major in one array (arity-0 relations
+  /// take no values, hence the explicit row counts), indexed by `PredId`;
+  /// predicates past the end are empty. Copied at database version
+  /// `facts_version_`, together with one past the largest value the
+  /// database holds (the least mapping size that covers it).
+  std::vector<Value> facts_;
+  std::vector<FactSpan> fact_spans_;
+  uint64_t facts_version_ = UINT64_MAX;
+  size_t value_bound_ = 0;
   uint64_t epoch_ = 0;
   /// Never reset while the executor lives: slot tables grow into it and
   /// keep their storage across images (abandoned-on-growth arrays are

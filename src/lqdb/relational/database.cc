@@ -12,6 +12,7 @@ void PhysicalDatabase::Clear() {
     (void)pred;
     rel.Clear();
   }
+  ++version_;
 }
 
 Status PhysicalDatabase::SetConstant(ConstId c, Value v) {
@@ -20,6 +21,7 @@ Status PhysicalDatabase::SetConstant(ConstId c, Value v) {
         "constant must be assigned a value inside the domain");
   }
   constants_[c] = v;
+  ++version_;
   return Status::OK();
 }
 
@@ -28,11 +30,23 @@ void PhysicalDatabase::InterpretConstantsAsThemselves() {
     AddDomainValue(c);
     constants_[c] = c;
   }
+  ++version_;
 }
 
 Value PhysicalDatabase::ConstantValue(ConstId c) const {
   auto it = constants_.find(c);
   assert(it != constants_.end() && "constant has no assigned value");
+  return it->second;
+}
+
+Result<Value> PhysicalDatabase::LookupConstant(ConstId c) const {
+  auto it = constants_.find(c);
+  if (it == constants_.end()) {
+    return Status::FailedPrecondition(
+        "constant '" + vocab_->ConstantName(c) +
+        "' has no interpretation in this database (was it added after "
+        "the database was built?)");
+  }
   return it->second;
 }
 
@@ -56,6 +70,7 @@ Status PhysicalDatabase::AddTuple(PredId pred, Tuple t) {
     it = relations_.emplace(pred, Relation(arity)).first;
   }
   it->second.Insert(std::move(t));
+  ++version_;
   return Status::OK();
 }
 
@@ -68,6 +83,7 @@ Status PhysicalDatabase::SetRelation(PredId pred, Relation rel) {
                                    vocab_->PredicateName(pred) + "'");
   }
   relations_.insert_or_assign(pred, std::move(rel));
+  ++version_;
   return Status::OK();
 }
 

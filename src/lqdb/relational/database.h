@@ -1,6 +1,7 @@
 #ifndef LQDB_RELATIONAL_DATABASE_H_
 #define LQDB_RELATIONAL_DATABASE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -27,11 +28,22 @@ class PhysicalDatabase {
   /// The database borrows `vocab`, which must outlive it.
   explicit PhysicalDatabase(const Vocabulary* vocab) : vocab_(vocab) {}
 
+  // Copyable and movable, but not assignable: an assignment would replace
+  // the contents without a new `version()`, so a reader keeping a copy of
+  // them could not tell.
+  PhysicalDatabase(const PhysicalDatabase&) = default;
+  PhysicalDatabase(PhysicalDatabase&&) = default;
+  PhysicalDatabase& operator=(const PhysicalDatabase&) = delete;
+  PhysicalDatabase& operator=(PhysicalDatabase&&) = delete;
+
   const Vocabulary& vocab() const { return *vocab_; }
 
   /// Adds `v` to the domain (idempotent).
   void AddDomainValue(Value v) {
-    if (domain_set_.insert(v).second) domain_.push_back(v);
+    if (domain_set_.insert(v).second) {
+      domain_.push_back(v);
+      ++version_;
+    }
   }
 
   /// Empties the domain, the constant assignment and every relation while
@@ -57,9 +69,11 @@ class PhysicalDatabase {
 
   /// The value assigned to `c`. Precondition: `c` was assigned.
   Value ConstantValue(ConstId c) const;
-  bool HasConstantValue(ConstId c) const {
-    return constants_.count(c) > 0;
-  }
+  /// The value assigned to `c`, or `FailedPrecondition` when `c` has none —
+  /// a constant interned into the shared vocabulary after the database was
+  /// built (e.g. by parsing a later query). Every engine that reads a
+  /// query's constants reports this one status.
+  Result<Value> LookupConstant(ConstId c) const;
 
   /// Adds tuple `t` to the relation of `pred`, creating the relation on
   /// first use. All values must be in the domain and the tuple arity must
@@ -88,6 +102,11 @@ class PhysicalDatabase {
   /// Human-readable dump (for examples and debugging).
   std::string ToString() const;
 
+  /// Changes with every mutation (domain, constants or relations), so a
+  /// reader that keeps a copy of the contents (`RaExecutor`) can tell when
+  /// to re-read them.
+  uint64_t version() const { return version_; }
+
   /// Name of a domain value: the constant name when the value lies in the
   /// constant-id space, else `d<value>`.
   std::string ValueName(Value v) const;
@@ -98,6 +117,7 @@ class PhysicalDatabase {
   std::unordered_set<Value> domain_set_;
   std::unordered_map<ConstId, Value> constants_;
   std::map<PredId, Relation> relations_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace lqdb

@@ -361,6 +361,31 @@ TEST(ApproxConsistencyTest, ModesAgree) {
   }
 }
 
+/// Parsing a query interns its new constants into the vocabulary after
+/// `Ph₂` was built, so `Ph₂` does not interpret them. Both engines must
+/// report that with the same status instead of reading a missing value.
+TEST(ApproxConsistencyTest, ConstantAddedAfterMakeIsAnErrorInBothEngines) {
+  std::vector<Status> statuses;
+  for (ApproxEngine engine :
+       {ApproxEngine::kEvaluator, ApproxEngine::kRelationalAlgebra}) {
+    CwDatabase lb;
+    ASSERT_OK(lb.AddFact("P", {"A"}));
+    ApproxOptions options;
+    options.engine = engine;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ApproxEvaluator> approx,
+                         ApproxEvaluator::Make(&lb, options));
+    ASSERT_OK_AND_ASSIGN(
+        Query q, ParseQuery(lb.mutable_vocab(), "(x) . P(x) & !(x = Yy)"));
+    statuses.push_back(approx->Answer(q).status());
+  }
+  EXPECT_EQ(statuses[0].code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(statuses[0].message().find("'Yy' has no interpretation"),
+            std::string::npos)
+      << statuses[0];
+  EXPECT_EQ(statuses[1].code(), statuses[0].code()) << statuses[1];
+  EXPECT_EQ(statuses[1].message(), statuses[0].message());
+}
+
 /// The paper's flagship soundness example: negative information about
 /// unknown values is only claimed when provable.
 TEST(ApproxStoryTest, JackTheRipper) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "lqdb/cwdb/mapping.h"
+#include "lqdb/cwdb/ph.h"
+#include "lqdb/eval/bound_query.h"
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/exact/ra_exact.h"
@@ -7,6 +10,7 @@
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/executor.h"
 #include "lqdb/ra/plan.h"
+#include "lqdb/ra/semijoin.h"
 #include "lqdb/ra/sql.h"
 #include "lqdb/util/rng.h"
 #include "testing.h"
@@ -14,8 +18,11 @@
 namespace lqdb {
 namespace {
 
+using testing::RandomCwDatabase;
+using testing::RandomDbParams;
 using testing::RandomFormula;
 using testing::RandomFormulaParams;
+using testing::RandomQuery;
 
 class RaTest : public ::testing::Test {
  protected:
@@ -160,6 +167,28 @@ TEST_F(RaTest, ConstTuplesAndCompare) {
   EXPECT_EQ(eq.rel.size(), 1u);
   RaTable neq = Exec(Plan::ConstCompare(a_, b_));
   EXPECT_TRUE(neq.rel.empty());
+}
+
+/// A constant interned after the database was built has no value in it:
+/// every plan node that reads a constant fails with the evaluator's status
+/// instead of reading a missing value.
+TEST_F(RaTest, ConstantWithoutAValueIsAnError) {
+  const ConstId late = vocab_.AddConstant("Late");
+  VarId x = vocab_.AddVariable("x");
+  ASSERT_OK_AND_ASSIGN(
+      PlanPtr scan,
+      Plan::Scan(vocab_, r_, {Term::Variable(x), Term::Constant(late)}));
+  ASSERT_OK_AND_ASSIGN(PlanPtr consts, Plan::ConstTuples({x}, {{late}}));
+  for (const PlanPtr& plan :
+       {scan, consts, Plan::ConstCompare(a_, late)}) {
+    RaExecutor ex(db_.get());
+    Result<RaTable> got = ex.Execute(plan);
+    ASSERT_FALSE(got.ok()) << plan->ToString(vocab_);
+    EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(got.status().message().find("'Late' has no interpretation"),
+              std::string::npos)
+        << got.status();
+  }
 }
 
 TEST_F(RaTest, EqDomain) {
@@ -409,6 +438,131 @@ TEST(RaExactEvaluatorTest, SecondOrderQueriesFallBackToTheBatchedPath) {
   ASSERT_OK_AND_ASSIGN(bool again, ra.Contains(q, {}));
   EXPECT_EQ(again, expected);
   EXPECT_EQ(ra.plan_cache_size(), 1u);
+}
+
+/// A prepared binding's plan may be freed after its call, and the next
+/// compiled plan may be allocated at the freed address: the engine must
+/// not serve the new plan the freed plan's semijoin reduction.
+TEST(RaExactEvaluatorTest, FreedPlansDoNotLendTheirReductionToNewPlans) {
+  CwDatabase lb;
+  ASSERT_OK(lb.AddFact("R", {"A", "B"}));
+  ASSERT_OK(lb.AddFact("R", {"B", "C"}));
+  ASSERT_OK(lb.AddFact("P", {"B"}));
+  ASSERT_OK(lb.AddFact("Q", {"C"}));
+  lb.AddUnknownConstant("U");
+  Vocabulary* vocab = lb.mutable_vocab();
+  ASSERT_OK_AND_ASSIGN(Query qp,
+                       ParseQuery(vocab, "(x) . exists y. R(x, y) & P(y)"));
+  ASSERT_OK_AND_ASSIGN(Query qq,
+                       ParseQuery(vocab, "(x) . exists y. R(x, y) & Q(y)"));
+  ExactEvaluator exact(&lb);
+  ASSERT_OK_AND_ASSIGN(Relation want_p, exact.Answer(qp));
+  ASSERT_OK_AND_ASSIGN(Relation want_q, exact.Answer(qq));
+  ASSERT_NE(want_p, want_q);
+
+  RaExactEvaluator ra(&lb);
+  for (int i = 0; i < 200; ++i) {
+    const bool p = i % 2 == 0;
+    ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(p ? qp : qq));
+    ASSERT_OK(bound.CompileRaPlan(lb.vocab()));
+    ASSERT_OK_AND_ASSIGN(Relation got, ra.AnswerBound(bound));
+    EXPECT_EQ(got, p ? want_p : want_q) << "call " << i;
+  }  // each binding, the only owner of its plan, dies after its call
+}
+
+/// Reading `Ph₁(LB)` through a mapping `h` must answer exactly what
+/// executing over the built image `h(Ph₁(LB))` does. For every canonical
+/// mapping of a pool of small worlds, the semijoin-reduced plan (every
+/// mapped candidate bound) and the unreduced plan give the same rows both
+/// ways, and the unreduced rows equal the Tarskian evaluator's answer over
+/// the built image (a check the two executors cannot share a bug with).
+/// The built side reuses one executor over one scratch image, so it also
+/// checks that an executor re-reads a database that changed. The
+/// hand-written queries cover where reading through `h` differs from
+/// reading the stored values: a repeated variable whose values `h`
+/// merges, a scan constant merged with an unknown, an arity-0 predicate,
+/// the domain after merges, and constants that occur in no fact (`Lonely`
+/// is known, `Nowhere` is interned by the parser).
+TEST(RaReadThroughTest, ReadingThroughAMappingEqualsBuildingTheImage) {
+  const std::vector<std::string> texts = {
+      "(x) . R0(x, x)",
+      "(x) . R0(x, K0) | R0(U0, x)",
+      "() . Z()",
+      "(x) . P0(x) & !Z()",
+      "(x, y) . x = y & !R0(x, y)",
+      "(x) . !P0(x)",
+      "(x) . x = Lonely | R0(x, Lonely)",
+      "(x) . !(x = Nowhere) & exists y. R0(y, x)",
+  };
+  uint64_t images = 0;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    RandomDbParams params;
+    params.num_known = 2;
+    params.num_unknown = 2;
+    params.num_facts = 5;
+    std::unique_ptr<CwDatabase> lb = RandomCwDatabase(seed, params);
+    lb->AddKnownConstant("Lonely");
+    ASSERT_OK_AND_ASSIGN(PredId z, lb->AddPredicate("Z", 0));
+    if (seed % 2 == 0) ASSERT_OK(lb->AddFact(z, {}));
+    std::vector<Query> queries;
+    for (const std::string& text : texts) {
+      ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(lb->mutable_vocab(), text));
+      queries.push_back(std::move(q));
+    }
+    RandomFormulaParams fparams;
+    fparams.max_depth = 3;
+    fparams.free_vars = {"hx"};
+    queries.push_back(RandomQuery(seed + 500, lb->mutable_vocab(), fparams));
+    // Built after parsing, so it interprets the constants parsing interned.
+    const PhysicalDatabase ph1 = MakePh1(*lb);
+    PhysicalDatabase image(&lb->vocab());
+
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const Query& q = queries[qi];
+      RaCompiler compiler(&lb->vocab());
+      ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(q));
+      ASSERT_OK_AND_ASSIGN(ReducedPlan red, SemijoinReduce(plan));
+      const std::vector<Tuple> candidates = AllCandidateTuples(
+          q.arity(), static_cast<ConstId>(lb->num_constants()));
+      RaExecutor through(&ph1);
+      RaExecutor built(&image);
+      std::vector<Value> cand;
+      ForEachCanonicalMapping(*lb, [&](const ConstMapping& h) {
+        ApplyMappingInto(*lb, h, &image);
+        through.ReadThrough(&h);
+        cand.clear();
+        for (const Tuple& c : candidates) {
+          for (Value v : c) cand.push_back(h[v]);
+        }
+        if (red.param != nullptr) {
+          through.BindParam(red.param.get(), cand.data(), candidates.size());
+          built.BindParam(red.param.get(), cand.data(), candidates.size());
+        }
+        for (const PlanPtr& p : {red.plan, plan}) {
+          Result<RaTable> got = through.Execute(p);
+          Result<RaTable> want = built.Execute(p);
+          EXPECT_TRUE(got.ok() && want.ok()) << got.status() << want.status();
+          if (!got.ok() || !want.ok()) return false;
+          EXPECT_EQ(got->rel, want->rel)
+              << "seed " << seed << ", query " << qi << ", "
+              << (p == plan ? "unreduced" : "reduced") << "\nh(Ph1) = "
+              << image.ToString();
+        }
+        Evaluator eval(&image);
+        Result<Relation> answer = eval.Answer(q);
+        Result<RaTable> got = through.Execute(plan);
+        EXPECT_TRUE(answer.ok() && got.ok()) << answer.status();
+        if (!answer.ok() || !got.ok()) return false;
+        EXPECT_EQ(got->rel, *answer)
+            << "seed " << seed << ", query " << qi << "\nh(Ph1) = "
+            << image.ToString();
+        ++images;
+        return !::testing::Test::HasFailure();
+      });
+      ASSERT_FALSE(::testing::Test::HasFailure());
+    }
+  }
+  EXPECT_GT(images, 1000u);
 }
 
 TEST_F(CompilerEquivalenceTest, SecondOrderIsRejected) {

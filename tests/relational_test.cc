@@ -126,9 +126,11 @@ TEST(PhysicalDatabaseTest, ValidateRequiresNonemptyDomain) {
   PhysicalDatabase db(&v);
   db.AddDomainValue(7);
   EXPECT_OK(db.Validate());  // missing constants are caught at eval time
-  EXPECT_FALSE(db.HasConstantValue(0));
+  EXPECT_EQ(db.LookupConstant(0).status().code(),
+            StatusCode::kFailedPrecondition);
   ASSERT_OK(db.SetConstant(0, 7));
-  EXPECT_TRUE(db.HasConstantValue(0));
+  ASSERT_OK_AND_ASSIGN(Value a, db.LookupConstant(0));
+  EXPECT_EQ(a, 7u);
 }
 
 TEST(PhysicalDatabaseTest, SetRelationReplacesWholesale) {
