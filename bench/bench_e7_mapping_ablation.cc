@@ -18,7 +18,7 @@
 #include "lqdb/engine/engine.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
+#include "lqdb/exact/ra_exact.h"
 #include "lqdb/util/table.h"
 
 namespace {
@@ -102,11 +102,11 @@ void BM_PerCandidateBaseline(benchmark::State& state) {
 BENCHMARK(BM_PerCandidateBaseline)->DenseRange(4, 7, 1)
     ->Unit(benchmark::kMillisecond);
 
-// The per-image inner loop head-to-head: the batched evaluator ("exact")
-// vs the compiled relational-algebra plan ("ra-exact") on identical
-// enumeration work. The two rows differ only in their registry name, so
-// `tools/collect_bench.py` pairs "…/ra-exact/N" with "…/exact/N" within
-// one snapshot and prints the speedup column.
+// The per-image inner loop head-to-head: the batched evaluator
+// ("batched-exact") vs the compiled relational-algebra plan ("exact") on
+// identical enumeration work. The two rows differ only in their registry
+// name, so `tools/collect_bench.py` pairs "…/exact/N" with
+// "…/batched-exact/N" within one snapshot and prints the speedup column.
 void InnerLoopEngine(benchmark::State& state, const char* engine_name) {
   auto lb = MakeDb(static_cast<int>(state.range(0)));
   Query q = MustParse(lb.get(), kQuery);
@@ -118,15 +118,15 @@ void InnerLoopEngine(benchmark::State& state, const char* engine_name) {
   state.counters["mappings"] =
       static_cast<double>(engine->last_mappings_examined());
 }
+void BM_InnerLoopBatched(benchmark::State& state) {
+  InnerLoopEngine(state, "batched-exact");
+}
 void BM_InnerLoopExact(benchmark::State& state) {
   InnerLoopEngine(state, "exact");
 }
-void BM_InnerLoopRaExact(benchmark::State& state) {
-  InnerLoopEngine(state, "ra-exact");
-}
-BENCHMARK(BM_InnerLoopExact)->Name("BM_InnerLoop/exact")
+BENCHMARK(BM_InnerLoopBatched)->Name("BM_InnerLoop/batched-exact")
     ->DenseRange(4, 7, 1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_InnerLoopRaExact)->Name("BM_InnerLoop/ra-exact")
+BENCHMARK(BM_InnerLoopExact)->Name("BM_InnerLoop/exact")
     ->DenseRange(4, 7, 1)->Unit(benchmark::kMillisecond);
 
 void BM_AllFunctions(benchmark::State& state) {
@@ -143,18 +143,18 @@ void BM_AllFunctions(benchmark::State& state) {
 BENCHMARK(BM_AllFunctions)->DenseRange(4, 6, 1)
     ->Unit(benchmark::kMillisecond);
 
-// The canonical enumeration fanned across a thread pool at |C| = 9 (1540
-// NE-avoiding partitions for this half-known shape): arg is the thread
-// count, so the JSON records the scaling curve per host. Same query and
-// database shape as BM_CanonicalPartitions, two sizes up, since the
-// parallel engine targets exactly the sizes where the sequential walk
-// starts to hurt.
+// The canonical enumeration of the compiled "exact" engine fanned across
+// `threads` workers at |C| = 9 (1540 NE-avoiding partitions for this
+// half-known shape): arg is the thread count, so the JSON records the
+// scaling curve per host. Same query and database shape as
+// BM_CanonicalPartitions, two sizes up, since the work-stealing walk
+// targets exactly the sizes where the sequential walk starts to hurt.
 void BM_ParallelCanonical(benchmark::State& state) {
   auto lb = MakeDb(9);
   Query q = MustParse(lb.get(), kQuery);
-  ParallelExactOptions options;
+  ExactOptions options;
   options.threads = static_cast<int>(state.range(0));
-  ParallelExactEvaluator parallel(lb.get(), options);
+  RaExactEvaluator parallel(lb.get(), options);
   for (auto _ : state) {
     auto answer = parallel.Answer(q);
     benchmark::DoNotOptimize(answer);
@@ -204,13 +204,14 @@ void PrintSummaryTable() {
       "\nshape check: identical answers; partition counts stay orders of\n"
       "magnitude below the function counts.\n\n");
 
-  // Thread-scaling table for the parallel engine at |C| = 9. On a
+  // Thread-scaling table for the exact engine at |C| = 9. On a
   // single-core host the ≥2-thread rows degenerate to ~1x — the JSON
   // records whatever the hardware gives.
-  std::printf("E7b: parallel canonical enumeration, |C| = 9\n\n");
+  std::printf("E7b: exact engine's canonical enumeration by threads, "
+              "|C| = 9\n\n");
   auto lb = MakeDb(9);
   Query q = MustParse(lb.get(), kQuery);
-  ExactEvaluator exact(lb.get());
+  RaExactEvaluator exact(lb.get());
   Relation sequential_answer(0);
   double sequential_s =
       Seconds([&] { sequential_answer = exact.Answer(q).value(); });
@@ -220,9 +221,9 @@ void PrintSummaryTable() {
                         std::to_string(exact.last_mappings_examined()),
                         FormatDouble(sequential_s, 4), "1.00x", "yes"});
   for (int threads : {1, 2, 4, 8}) {
-    ParallelExactOptions options;
+    ExactOptions options;
     options.threads = threads;
-    ParallelExactEvaluator parallel(lb.get(), options);
+    RaExactEvaluator parallel(lb.get(), options);
     Relation answer(0);
     double t = Seconds([&] { answer = parallel.Answer(q).value(); });
     threads_table.AddRow(

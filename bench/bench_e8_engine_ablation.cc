@@ -16,6 +16,8 @@
 // doll-house sizes while virtual/RA scale on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_common.h"
 #include "lqdb/approx/approx.h"
 #include "lqdb/engine/engine.h"
@@ -79,12 +81,11 @@ BENCHMARK(BM_Engine)
 // A half-unknown database large enough (1540 canonical mappings) that the
 // enumeration dominates, with a positive query so no engine can exit early
 // — measuring the full cost Theorem 1 pays and how it splits across
-// threads. Arg 0 selects sequential "exact"; arg N ≥ 1 selects
-// "parallel-exact" with N threads. Both engines sweep the surviving
-// candidate set against each image database in one batched
-// `SatisfiesBatch` call, and the parallel engine schedules ranges by work
-// stealing, so these rows also track the shared batched path's health
-// across PR snapshots.
+// threads. Arg 0 selects the sequential "batched-exact" (the batched
+// Tarskian sweep); arg N ≥ 1 selects the compiled "exact" engine with
+// `threads = N`, whose sweep schedules ranges by work stealing, so these
+// rows track both per-image checks and the thread scaling of the shared
+// sweep driver across PR snapshots.
 std::unique_ptr<CwDatabase> MakeEnumerationHeavyDb() {
   auto lb = std::make_unique<CwDatabase>();
   for (int i = 0; i < 4; ++i) {
@@ -104,21 +105,17 @@ void BM_RegistryExactEngines(benchmark::State& state) {
   auto lb = MakeEnumerationHeavyDb();
   Query q = MustParse(lb.get(), "(x) . P(x)");
   EngineOptions options;
-  options.threads = threads;
-  // "batched-exact" is the batched Tarskian sweep these rows have always
-  // measured — the plain "exact" name routes to the compiled RA engine
-  // since the E10 flip, and renaming rows would break the cross-snapshot
-  // trajectory.
+  options.exact.threads = std::max(threads, 1);
   auto engine = EngineRegistry::Global()
-                    .Create(threads == 0 ? "batched-exact" : "parallel-exact",
+                    .Create(threads == 0 ? "batched-exact" : "exact",
                             lb.get(), options)
                     .value();
   for (auto _ : state) {
     auto answer = engine->Answer(q);
     benchmark::DoNotOptimize(answer);
   }
-  state.SetLabel(threads == 0 ? "exact"
-                              : "parallel-exact/" + std::to_string(threads));
+  state.SetLabel(threads == 0 ? "batched-exact"
+                              : "exact/" + std::to_string(threads));
   state.counters["mappings"] =
       static_cast<double>(engine->last_mappings_examined());
 }
@@ -143,9 +140,9 @@ std::unique_ptr<CwDatabase> MakeJoinHeavyDb() {
   return lb;
 }
 
-// "exact" vs "ra-exact" on identical Theorem 1 work, as a pairable name
-// pair ("BM_TheoremOne/exact/Q" vs "BM_TheoremOne/ra-exact/Q") that
-// `tools/collect_bench.py` matches within one snapshot to print the
+// "batched-exact" vs "exact" on identical Theorem 1 work, as a pairable
+// name pair ("BM_TheoremOne/batched-exact/Q" vs "BM_TheoremOne/exact/Q")
+// that `tools/collect_bench.py` matches within one snapshot to print the
 // compiled-plan speedup. Workload 0 is the bare unary scan (overhead
 // bound: the plan cannot beat a batched one-atom check); workload 1 is a
 // universally quantified implication, where the per-image evaluation cost
@@ -153,9 +150,9 @@ std::unique_ptr<CwDatabase> MakeJoinHeavyDb() {
 //
 // RaExecutor's cross-image scratch-table reuse (slot + epoch, see
 // src/lqdb/ra/executor.h) moved these rows ~1.4–1.5x on a single-core
-// Release host: ra-exact/0 3.22ms → 2.14ms, ra-exact/1 18.9ms → 13.3ms,
-// with the exact rows flat — the gap to the batched sweep is now mostly
-// join work, not allocator churn.
+// Release host: the compiled rows (then named ra-exact) 3.22ms → 2.14ms
+// and 18.9ms → 13.3ms, with the batched rows flat — the gap to the
+// batched sweep is now mostly join work, not allocator churn.
 void TheoremOneEngine(benchmark::State& state, const char* engine_name) {
   const bool join_heavy = state.range(0) != 0;
   auto lb = join_heavy ? MakeJoinHeavyDb() : MakeEnumerationHeavyDb();
@@ -171,15 +168,15 @@ void TheoremOneEngine(benchmark::State& state, const char* engine_name) {
       static_cast<double>(engine->last_mappings_examined());
   state.SetLabel(join_heavy ? "forall-join query" : "unary scan query");
 }
+void BM_TheoremOneBatched(benchmark::State& state) {
+  TheoremOneEngine(state, "batched-exact");
+}
 void BM_TheoremOneExact(benchmark::State& state) {
-  TheoremOneEngine(state, "batched-exact");  // row name stays ".../exact"
+  TheoremOneEngine(state, "exact");
 }
-void BM_TheoremOneRaExact(benchmark::State& state) {
-  TheoremOneEngine(state, "ra-exact");
-}
-BENCHMARK(BM_TheoremOneExact)->Name("BM_TheoremOne/exact")
+BENCHMARK(BM_TheoremOneBatched)->Name("BM_TheoremOne/batched-exact")
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TheoremOneRaExact)->Name("BM_TheoremOne/ra-exact")
+BENCHMARK(BM_TheoremOneExact)->Name("BM_TheoremOne/exact")
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void PrintRegistryTable() {
@@ -202,33 +199,21 @@ void PrintRegistryTable() {
     auto lb = MakeEnumerationHeavyDb();
     Query q = MustParse(lb.get(), "(x) . P(x)");
     EngineOptions options;
-    options.threads = threads;
-    auto engine = EngineRegistry::Global()
-                      .Create("parallel-exact", lb.get(), options)
-                      .value();
+    options.exact.threads = threads;
+    auto engine =
+        EngineRegistry::Global().Create("exact", lb.get(), options).value();
     Relation answer(0);
     double t = Seconds([&] { answer = engine->Answer(q).value(); });
-    table.AddRow({"parallel-exact", std::to_string(threads),
-                  FormatDouble(t, 4),
-                  FormatDouble(t > 0 ? reference_s / t : 0.0, 2) + "x",
-                  answer == reference ? "yes" : "NO"});
-  }
-  {
-    auto lb = MakeEnumerationHeavyDb();
-    Query q = MustParse(lb.get(), "(x) . P(x)");
-    auto engine = EngineRegistry::Global().Create("ra-exact", lb.get()).value();
-    Relation answer(0);
-    double t = Seconds([&] { answer = engine->Answer(q).value(); });
-    table.AddRow({"ra-exact", "-", FormatDouble(t, 4),
+    table.AddRow({"exact", std::to_string(threads), FormatDouble(t, 4),
                   FormatDouble(t > 0 ? reference_s / t : 0.0, 2) + "x",
                   answer == reference ? "yes" : "NO"});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf(
-      "\nshape check: identical answers; the parallel rows approach the\n"
-      "host's core count (degenerating to ~1x on a single core), and the\n"
-      "ra-exact row swaps the batched per-image check for the compiled\n"
-      "relational-algebra plan.\n\n");
+      "\nshape check: identical answers; the exact rows swap the batched\n"
+      "per-image check for the compiled relational-algebra plan, and their\n"
+      "thread scaling approaches the host's core count (degenerating to\n"
+      "~1x on a single core).\n\n");
 }
 
 void PrintSummaryTable() {

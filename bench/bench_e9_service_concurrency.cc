@@ -36,8 +36,6 @@ constexpr int kKnown = 16;
 constexpr int kUnknowns = 1;
 constexpr uint64_t kSeed = 23;
 
-const char* EngineFor(int arg) { return arg == 0 ? "exact" : "ra-exact"; }
-
 // Cold path: every iteration stands up a fresh service (empty cache, new
 // 1-thread pool) and prepares + executes one pool query — parse, bind and
 // RA-compile all run. This is the cost the cache exists to amortize.
@@ -54,20 +52,17 @@ void BM_ServicePrepareCold(benchmark::State& state) {
     }
   }
   const std::vector<std::string> pool = OrgQueryPool();
-  SessionOptions opts;
-  opts.engine = EngineFor(static_cast<int>(state.range(0)));
   size_t i = 0;
   for (auto _ : state) {
     Service cold(lb.get(), {/*threads=*/1});
-    auto session = cold.OpenSession(opts).value();
+    auto session = cold.OpenSession().value();
     auto info = session->Prepare(pool[i++ % pool.size()]).value();
     auto answer = session->Execute(info.handle);
     benchmark::DoNotOptimize(answer);
   }
-  state.SetLabel(opts.engine);
 }
 BENCHMARK(BM_ServicePrepareCold)->Name("BM_ServicePrepare/cold")
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond);
 
 // Warm path: same statements through one long-lived service — every
 // Prepare is a cache hit and Execute runs the pre-bound, pre-compiled
@@ -75,9 +70,7 @@ BENCHMARK(BM_ServicePrepareCold)->Name("BM_ServicePrepare/cold")
 void BM_ServicePrepareWarm(benchmark::State& state) {
   auto lb = MakeOrgDatabase(kKnown, kUnknowns, kSeed);
   Service service(lb.get(), {/*threads=*/1});
-  SessionOptions opts;
-  opts.engine = EngineFor(static_cast<int>(state.range(0)));
-  auto session = service.OpenSession(opts).value();
+  auto session = service.OpenSession().value();
   const std::vector<std::string> pool = OrgQueryPool();
   for (const std::string& text : pool) {
     auto info = session->Prepare(text);
@@ -89,12 +82,11 @@ void BM_ServicePrepareWarm(benchmark::State& state) {
     auto answer = session->Execute(info.handle);
     benchmark::DoNotOptimize(answer);
   }
-  state.SetLabel(opts.engine);
   ServiceStats stats = service.stats();
   state.counters["cache_hits"] = static_cast<double>(stats.cache_hits);
 }
 BENCHMARK(BM_ServicePrepareWarm)->Name("BM_ServicePrepare/warm")
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond);
 
 // K sessions fan one async execution each onto the shared pool per
 // iteration (round-robin over the query pool), then join. Real time, so
@@ -102,11 +94,9 @@ BENCHMARK(BM_ServicePrepareWarm)->Name("BM_ServicePrepare/warm")
 // sessions actually overlap.
 void BM_ServiceSessions(benchmark::State& state) {
   const int num_sessions = static_cast<int>(state.range(0));
-  const char* engine = EngineFor(static_cast<int>(state.range(1)));
   auto lb = MakeOrgDatabase(kKnown, kUnknowns, kSeed);
   Service service(lb.get());
   SessionOptions opts;
-  opts.engine = engine;
   opts.max_in_flight = 8;
   std::vector<std::shared_ptr<Session>> sessions;
   for (int i = 0; i < num_sessions; ++i) {
@@ -130,11 +120,10 @@ void BM_ServiceSessions(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * num_sessions);
-  state.SetLabel(std::string(engine) + "/" + std::to_string(num_sessions) +
-                 " sessions");
+  state.SetLabel(std::to_string(num_sessions) + " sessions");
 }
 BENCHMARK(BM_ServiceSessions)
-    ->ArgsProduct({{1, 2, 8}, {0, 1}})
+    ->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -146,39 +135,35 @@ void PrintServiceTable() {
       kKnown, kUnknowns, OrgQueryPool().size());
   TablePrinter table({"engine", "cold prep+exec(s)", "warm prep+exec(s)",
                       "speedup", "answers agree"});
-  for (const char* engine : {"exact", "ra-exact"}) {
-    auto lb = MakeOrgDatabase(kKnown, kUnknowns, kSeed);
-    SessionOptions opts;
-    opts.engine = engine;
-    std::vector<Relation> cold_answers, warm_answers;
-    double cold_s = Seconds([&] {
-      Service cold(lb.get(), {/*threads=*/1});
-      auto session = cold.OpenSession(opts).value();
-      for (const std::string& text : OrgQueryPool()) {
-        auto info = session->Prepare(text).value();
-        cold_answers.push_back(session->Execute(info.handle).value());
-      }
-    });
-    Service warm_service(lb.get(), {/*threads=*/1});
-    auto warm_session = warm_service.OpenSession(opts).value();
+  auto lb = MakeOrgDatabase(kKnown, kUnknowns, kSeed);
+  std::vector<Relation> cold_answers, warm_answers;
+  double cold_s = Seconds([&] {
+    Service cold(lb.get(), {/*threads=*/1});
+    auto session = cold.OpenSession().value();
     for (const std::string& text : OrgQueryPool()) {
-      auto info = warm_session->Prepare(text);
-      benchmark::DoNotOptimize(info);
+      auto info = session->Prepare(text).value();
+      cold_answers.push_back(session->Execute(info.handle).value());
     }
-    double warm_s = Seconds([&] {
-      for (const std::string& text : OrgQueryPool()) {
-        auto info = warm_session->Prepare(text).value();
-        warm_answers.push_back(warm_session->Execute(info.handle).value());
-      }
-    });
-    bool agree = cold_answers.size() == warm_answers.size();
-    for (size_t i = 0; agree && i < cold_answers.size(); ++i) {
-      agree = cold_answers[i] == warm_answers[i];
-    }
-    table.AddRow({engine, FormatDouble(cold_s, 4), FormatDouble(warm_s, 4),
-                  FormatDouble(warm_s > 0 ? cold_s / warm_s : 0.0, 2) + "x",
-                  agree ? "yes" : "NO"});
+  });
+  Service warm_service(lb.get(), {/*threads=*/1});
+  auto warm_session = warm_service.OpenSession().value();
+  for (const std::string& text : OrgQueryPool()) {
+    auto info = warm_session->Prepare(text);
+    benchmark::DoNotOptimize(info);
   }
+  double warm_s = Seconds([&] {
+    for (const std::string& text : OrgQueryPool()) {
+      auto info = warm_session->Prepare(text).value();
+      warm_answers.push_back(warm_session->Execute(info.handle).value());
+    }
+  });
+  bool agree = cold_answers.size() == warm_answers.size();
+  for (size_t i = 0; agree && i < cold_answers.size(); ++i) {
+    agree = cold_answers[i] == warm_answers[i];
+  }
+  table.AddRow({"exact", FormatDouble(cold_s, 4), FormatDouble(warm_s, 4),
+                FormatDouble(warm_s > 0 ? cold_s / warm_s : 0.0, 2) + "x",
+                agree ? "yes" : "NO"});
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\nshape check: identical answers; the warm column drops the parse +\n"

@@ -1,6 +1,7 @@
 // The builtin engine adapters: thin QueryEngine shims over the concrete
 // evaluators, so every evaluation strategy in the library is reachable
 // through one string-keyed API (shell, benches, differential harness).
+#include <memory>
 #include <utility>
 
 #include "lqdb/cwdb/ph.h"
@@ -11,152 +12,88 @@
 namespace lqdb {
 namespace {
 
-/// Common name/capability plumbing for the adapters below.
+/// Common plumbing for the adapters below: name, capabilities, and the one
+/// candidate validation every builtin engine's `Contains` runs first.
 class EngineBase : public QueryEngine {
  public:
-  EngineBase(std::string name, EngineCapabilities capabilities)
-      : name_(std::move(name)), capabilities_(capabilities) {}
+  EngineBase(std::string name, EngineCapabilities capabilities,
+             const CwDatabase* lb)
+      : lb_(lb), name_(std::move(name)), capabilities_(capabilities) {}
 
   const std::string& name() const override { return name_; }
   const EngineCapabilities& capabilities() const override {
     return capabilities_;
   }
 
+  Result<bool> Contains(const Query& query, const Tuple& candidate) final {
+    LQDB_RETURN_IF_ERROR(ValidateCandidate(*lb_, query, candidate));
+    return ContainsValid(query, candidate);
+  }
+
+ protected:
+  /// `Contains` on a candidate that passed `ValidateCandidate`.
+  virtual Result<bool> ContainsValid(const Query& query,
+                                     const Tuple& candidate) = 0;
+
+  const CwDatabase* lb_;
+
  private:
   std::string name_;
   EngineCapabilities capabilities_;
 };
 
-class BruteEngine : public EngineBase {
- public:
-  BruteEngine(std::string name, EngineCapabilities caps, const CwDatabase* lb,
-              const BruteOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
-
-  Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
-  }
-  uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
-  }
-  KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
-  }
-
- private:
-  BruteForceEvaluator impl_;
-};
-
+/// The Theorem 1 engines ("brute", "batched-exact", "exact"): every one is
+/// an `ExactEvaluator` front-end over the shared sweep driver, differing
+/// only in its mapping source and per-image check.
 class ExactEngine : public EngineBase {
  public:
   ExactEngine(std::string name, EngineCapabilities caps, const CwDatabase* lb,
-              const ExactOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
+              std::unique_ptr<ExactEvaluator> impl)
+      : EngineBase(std::move(name), caps, lb), impl_(std::move(impl)) {}
 
   Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
+    return impl_->Answer(query);
   }
   Result<Relation> AnswerBound(const BoundQuery& bound) override {
-    return impl_.AnswerBound(bound);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
+    return impl_->AnswerBound(bound);
   }
   Result<Relation> PossibleAnswer(const Query& query) override {
-    return impl_.PossibleAnswer(query);
+    return impl_->PossibleAnswer(query);
   }
   Result<Relation> PossibleAnswerBound(const BoundQuery& bound) override {
-    return impl_.PossibleAnswerBound(bound);
+    return impl_->PossibleAnswerBound(bound);
   }
   uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
+    return impl_->last_mappings_examined();
   }
   KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
+    return impl_->last_memo_counters();
+  }
+
+ protected:
+  Result<bool> ContainsValid(const Query& query,
+                             const Tuple& candidate) override {
+    return impl_->Contains(query, candidate);
   }
 
  private:
-  ExactEvaluator impl_;
-};
-
-class ParallelExactEngine : public EngineBase {
- public:
-  ParallelExactEngine(std::string name, EngineCapabilities caps,
-                      const CwDatabase* lb,
-                      const ParallelExactOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
-
-  Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
-  }
-  Result<Relation> AnswerBound(const BoundQuery& bound) override {
-    return impl_.AnswerBound(bound);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
-  }
-  Result<Relation> PossibleAnswer(const Query& query) override {
-    return impl_.PossibleAnswer(query);
-  }
-  Result<Relation> PossibleAnswerBound(const BoundQuery& bound) override {
-    return impl_.PossibleAnswerBound(bound);
-  }
-  uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
-  }
-  KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
-  }
-
- private:
-  ParallelExactEvaluator impl_;
-};
-
-class RaExactEngine : public EngineBase {
- public:
-  RaExactEngine(std::string name, EngineCapabilities caps,
-                const CwDatabase* lb, const ExactOptions& options)
-      : EngineBase(std::move(name), caps), impl_(lb, options) {}
-
-  Result<Relation> Answer(const Query& query) override {
-    return impl_.Answer(query);
-  }
-  Result<Relation> AnswerBound(const BoundQuery& bound) override {
-    return impl_.AnswerBound(bound);
-  }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    return impl_.Contains(query, candidate);
-  }
-  Result<Relation> PossibleAnswer(const Query& query) override {
-    return impl_.PossibleAnswer(query);
-  }
-  Result<Relation> PossibleAnswerBound(const BoundQuery& bound) override {
-    return impl_.PossibleAnswerBound(bound);
-  }
-  uint64_t last_mappings_examined() const override {
-    return impl_.last_mappings_examined();
-  }
-  KernelMemoCounters last_memo_counters() const override {
-    return impl_.last_memo_counters();
-  }
-
- private:
-  RaExactEvaluator impl_;
+  std::unique_ptr<ExactEvaluator> impl_;
 };
 
 class ApproxQueryEngine : public EngineBase {
  public:
   ApproxQueryEngine(std::string name, EngineCapabilities caps,
+                    const CwDatabase* lb,
                     std::unique_ptr<ApproxEvaluator> impl)
-      : EngineBase(std::move(name), caps), impl_(std::move(impl)) {}
+      : EngineBase(std::move(name), caps, lb), impl_(std::move(impl)) {}
 
   Result<Relation> Answer(const Query& query) override {
     return impl_->Answer(query);
   }
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
+
+ protected:
+  Result<bool> ContainsValid(const Query& query,
+                             const Tuple& candidate) override {
     return impl_->Contains(query, candidate);
   }
 
@@ -173,7 +110,7 @@ class PhysicalEngine : public EngineBase {
  public:
   PhysicalEngine(std::string name, EngineCapabilities caps,
                  const CwDatabase* lb, const EvalOptions& options)
-      : EngineBase(std::move(name), caps), lb_(lb), options_(options) {}
+      : EngineBase(std::move(name), caps, lb), options_(options) {}
 
   Result<Relation> Answer(const Query& query) override {
     PhysicalDatabase ph1 = MakePh1(*lb_);
@@ -181,10 +118,9 @@ class PhysicalEngine : public EngineBase {
     return eval.Answer(query);
   }
 
-  Result<bool> Contains(const Query& query, const Tuple& candidate) override {
-    if (candidate.size() != query.arity()) {
-      return Status::InvalidArgument("candidate arity does not match query");
-    }
+ protected:
+  Result<bool> ContainsValid(const Query& query,
+                             const Tuple& candidate) override {
     LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
     PhysicalDatabase ph1 = MakePh1(*lb_);
     Evaluator eval(&ph1, options_);
@@ -195,7 +131,6 @@ class PhysicalEngine : public EngineBase {
   }
 
  private:
-  const CwDatabase* lb_;
   EvalOptions options_;
 };
 
@@ -212,60 +147,39 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     EngineCapabilities caps;
     caps.sound = true;
     caps.complete = true;
-    must_register(
-        "brute", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new BruteEngine("brute", caps, lb, options.brute));
-        });
-  }
-  {
-    EngineCapabilities caps;
-    caps.sound = true;
-    caps.complete = true;
     caps.supports_possible = true;
-    // "exact" routes to the compiled-RA engine: same Theorem 1 semantics,
-    // same answers bit-for-bit (the differential suite pins this on every
+    // `make` builds the engine's `ExactEvaluator` front-end from the
+    // options it understands.
+    auto register_exact = [&](const std::string& name, auto make) {
+      must_register(name, caps,
+                    [name, caps, make](CwDatabase* lb,
+                                       const EngineOptions& options)
+                        -> Result<std::unique_ptr<QueryEngine>> {
+                      return std::unique_ptr<QueryEngine>(
+                          new ExactEngine(name, caps, lb, make(lb, options)));
+                    });
+    };
+    register_exact("brute", [](CwDatabase* lb, const EngineOptions& options) {
+      return std::make_unique<BruteForceEvaluator>(lb, options.brute);
+    });
+    // "exact" is the compiled-RA engine: same Theorem 1 semantics, same
+    // answers bit-for-bit (the differential suite pins this on every
     // instance), but the per-image check is a cached relational-algebra
     // plan instead of the batched Tarskian sweep — measured 1.5–10x faster
     // on the E10 large-world join rows. Queries outside the compilable
-    // first-order fragment silently take the evaluator fallback inside
-    // `RaExactEvaluator`, so coverage is unchanged.
-    must_register(
-        "exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new RaExactEngine("exact", caps, lb, options.exact));
-        });
+    // first-order fragment take the Tarskian check, so coverage is
+    // unchanged.
+    register_exact("exact", [](CwDatabase* lb, const EngineOptions& options) {
+      return std::make_unique<RaExactEvaluator>(lb, options.exact);
+    });
     // The batched Tarskian sweep under its explicit name, so benches and
-    // ablations can compare against it regardless of what "exact" resolves
-    // to (see the E10 rows and README "Engines").
-    must_register(
-        "batched-exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new ExactEngine("batched-exact", caps, lb, options.exact));
-        });
-    must_register(
-        "parallel-exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          ParallelExactOptions parallel;
-          parallel.base = options.exact;
-          parallel.threads = options.threads;
-          return std::unique_ptr<QueryEngine>(new ParallelExactEngine(
-              "parallel-exact", caps, lb, parallel));
-        });
-    must_register(
-        "ra-exact", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
-            -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(
-              new RaExactEngine("ra-exact", caps, lb, options.exact));
-        });
+    // ablations can compare against it (see the E7/E8/E10 rows and README
+    // "Engines").
+    register_exact("batched-exact",
+                   [](CwDatabase* lb, const EngineOptions& options) {
+                     return std::make_unique<ExactEvaluator>(lb,
+                                                             options.exact);
+                   });
   }
   {
     EngineCapabilities caps;
@@ -278,8 +192,8 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
             -> Result<std::unique_ptr<QueryEngine>> {
           auto impl = ApproxEvaluator::Make(lb, options.approx);
           if (!impl.ok()) return impl.status();
-          return std::unique_ptr<QueryEngine>(
-              new ApproxQueryEngine("approx", caps, std::move(impl).value()));
+          return std::unique_ptr<QueryEngine>(new ApproxQueryEngine(
+              "approx", caps, lb, std::move(impl).value()));
         });
   }
   {

@@ -14,7 +14,6 @@
 #include "lqdb/eval/bound_query.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
 #include "lqdb/logic/query.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/util/result.h"
@@ -54,8 +53,6 @@ struct EngineOptions {
   ExactOptions exact;
   BruteOptions brute;
   ApproxOptions approx;
-  /// Worker threads for parallel engines; 0 means hardware concurrency.
-  int threads = 0;
 };
 
 /// A query evaluation strategy over one CW logical database. Engines are
@@ -77,13 +74,15 @@ class QueryEngine {
   /// the service layer. The binding (and the query it borrows) must outlive
   /// the call and is only read. The default re-enters `Answer` on the
   /// underlying query; Theorem 1 engines override it to skip re-binding
-  /// (and, for ra-exact, re-compiling).
+  /// (and, for exact, re-compiling).
   virtual Result<Relation> AnswerBound(const BoundQuery& bound);
 
   /// `PossibleAnswer` over a pre-bound query (see `AnswerBound`).
   virtual Result<Relation> PossibleAnswerBound(const BoundQuery& bound);
 
-  /// Membership of one candidate tuple in the engine's answer.
+  /// Membership of one candidate tuple in the engine's answer;
+  /// `InvalidArgument` when the candidate's arity differs from the query's
+  /// or it names a constant the database does not have.
   virtual Result<bool> Contains(const Query& query,
                                 const Tuple& candidate) = 0;
 
@@ -107,8 +106,8 @@ using EngineFactory = std::function<Result<std::unique_ptr<QueryEngine>>(
     CwDatabase* lb, const EngineOptions& options)>;
 
 /// A string-keyed registry of engine factories. The builtin engines
-/// ("brute", "exact", "parallel-exact", "ra-exact", "approx", "physical")
-/// are registered on first access of `Global()`; libraries and tests may
+/// ("brute", "batched-exact", "exact", "approx", "physical") are
+/// registered on first access of `Global()`; libraries and tests may
 /// register more — a registered engine is automatically reachable from the
 /// shell (`set engine NAME`), the benches and the differential harness.
 class EngineRegistry {
@@ -147,16 +146,22 @@ class EngineRegistry {
 /// Registers the builtin engines into `registry` (idempotent per registry;
 /// called by `EngineRegistry::Global()`):
 ///
-///   - "brute"          — all mappings `h : C → C` (Theorem 1 literally)
-///   - "exact"          — canonical kernel-partition enumeration
-///   - "parallel-exact" — canonical enumeration fanned across threads
-///   - "ra-exact"       — canonical enumeration with the per-image check
-///                        compiled to a cached relational-algebra plan
-///                        (first-order fragment; falls back to the batched
-///                        evaluator for second-order queries)
-///   - "approx"         — the §5 sound polynomial approximation
-///   - "physical"       — naive evaluation over `Ph₁` (ignores nulls;
-///                        neither sound nor complete — a baseline)
+///   - "brute"         — all mappings `h : C → C` (Theorem 1 literally)
+///   - "batched-exact" — canonical kernel-partition enumeration, each image
+///                       built and checked by the batched Tarskian
+///                       evaluator (the reference the differential suite
+///                       compares against)
+///   - "exact"         — canonical enumeration with the per-image check
+///                       compiled to a cached relational-algebra plan read
+///                       through each mapping (first-order fragment;
+///                       second-order queries take the Tarskian check)
+///   - "approx"        — the §5 sound polynomial approximation
+///   - "physical"      — naive evaluation over `Ph₁` (ignores nulls;
+///                       neither sound nor complete — a baseline)
+///
+/// The three Theorem 1 engines share one sweep driver (exact/sweep.h);
+/// `ExactOptions::threads` fans the canonical enumeration of "exact" and
+/// "batched-exact" across a work-stealing pool.
 void RegisterBuiltinEngines(EngineRegistry* registry);
 
 }  // namespace lqdb

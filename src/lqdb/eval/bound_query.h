@@ -74,7 +74,7 @@ class BoundQuery {
 
   /// Whether a compilation outcome (success or cached failure) is recorded;
   /// a prepared statement with `ra_attempted()` carries everything the
-  /// ra-exact engine needs, so it can skip its own plan-cache lookup.
+  /// exact engine needs, so it can skip its own plan-cache lookup.
   bool ra_attempted() const { return ra_attempted_; }
 
  private:

@@ -118,7 +118,7 @@ class KernelSignatureContext {
 
 /// A concurrent (signature, relabeled candidate row) → verdict table,
 /// shared by every worker of one engine call. Reads are lock-free (the
-/// parallel engine's workers look up rows for every mapping); writes
+/// sweep's workers look up rows for every mapping); writes
 /// serialize on a mutex and publish append-only nodes with release stores,
 /// so the table never moves or frees a node while readers walk it. The
 /// table saturates at `max_entries` (stops inserting, never evicts): a

@@ -1,11 +1,8 @@
 #include "lqdb/exact/brute.h"
 
-#include "lqdb/exact/exact.h"
-
 #include <cmath>
 #include <map>
 
-#include "lqdb/cwdb/mapping.h"
 #include "lqdb/cwdb/theory.h"
 
 namespace lqdb {
@@ -21,103 +18,14 @@ uint64_t SaturatingPower(uint64_t base, uint64_t exp) {
 
 namespace {
 
-/// The shared |C|^|C| feasibility gate of `Contains` and `Answer`, in
-/// overflow-checked integer arithmetic.
-Status CheckBruteBudget(const CwDatabase& lb, uint64_t max_mappings) {
-  const uint64_t n = lb.num_constants();
-  if (SaturatingPower(n, n) > max_mappings) {
-    return Status::ResourceExhausted(
-        "|C|^|C| exceeds max_mappings; use ExactEvaluator");
-  }
-  return Status::OK();
+ExactOptions ExactOptionsFor(const BruteOptions& options) {
+  ExactOptions exact;
+  exact.max_mappings = options.max_mappings;
+  exact.memo = options.memo;
+  exact.memo_max_entries = options.memo_max_entries;
+  exact.eval = options.eval;
+  return exact;  // threads = 1: the all-functions source walks in order
 }
-
-}  // namespace
-
-Result<bool> BruteForceEvaluator::Contains(const Query& query,
-                                           const Tuple& candidate) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-  if (candidate.size() != query.arity()) {
-    return Status::InvalidArgument("candidate arity does not match query");
-  }
-  LQDB_RETURN_IF_ERROR(CheckBruteBudget(*lb_, options_.max_mappings));
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-
-  bool contained = true;
-  Status error = Status::OK();
-  const std::vector<Tuple> candidates = {candidate};
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  // Memoization is especially effective here: the uncanonicalized
-  // enumeration revisits every kernel partition (and hence every
-  // signature) many times. A memo-served falsifying verdict still makes
-  // *this* h a genuine counterexample (its image is isomorphic to the one
-  // the verdict was computed in).
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  last_mappings_ = ForEachMapping(*lb_, [&](const ConstMapping& h) {
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              candidates, nullptr, 1, &batch,
-                                              sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    if (!batch.verdicts[0]) {
-      contained = false;
-      return false;
-    }
-    return true;
-  });
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return contained;
-}
-
-Result<Relation> BruteForceEvaluator::Answer(const Query& query) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-  LQDB_RETURN_IF_ERROR(CheckBruteBudget(*lb_, options_.max_mappings));
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-  const size_t arity = query.arity();
-  const ConstId n = static_cast<ConstId>(lb_->num_constants());
-
-  // Single pass over the mappings, pruning the candidate set — mirrors
-  // ExactEvaluator::Answer so the two are directly comparable (bench E7).
-  std::vector<Tuple> alive = AllCandidateTuples(arity, n);
-
-  Status error = Status::OK();
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  last_mappings_ = ForEachMapping(*lb_, [&](const ConstMapping& h) {
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              alive, nullptr, alive.size(),
-                                              &batch, sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    size_t kept = 0;
-    for (size_t k = 0; k < alive.size(); ++k) {
-      if (!batch.verdicts[k]) continue;
-      if (kept != k) alive[kept] = std::move(alive[k]);
-      ++kept;
-    }
-    alive.resize(kept);
-    return !alive.empty();
-  });
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-
-  Relation answer(static_cast<int>(arity));
-  for (Tuple& t : alive) answer.Insert(std::move(t));
-  return answer;
-}
-
-namespace {
 
 /// Odometer helper enumerating tuples over `space[i]` positions.
 bool NextIndex(std::vector<size_t>* idx, size_t bound) {
@@ -130,6 +38,11 @@ bool NextIndex(std::vector<size_t>* idx, size_t bound) {
 }
 
 }  // namespace
+
+BruteForceEvaluator::BruteForceEvaluator(const CwDatabase* lb,
+                                         BruteOptions options)
+    : ExactEvaluator(lb, ExactOptionsFor(options),
+                     MappingSource::kAllFunctions) {}
 
 Result<bool> ModelEnumerationContains(CwDatabase* lb, const Query& query,
                                       const Tuple& candidate,

@@ -6,6 +6,7 @@
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/eval/kernel_memo.h"
+#include "lqdb/exact/exact.h"
 #include "lqdb/logic/query.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/util/result.h"
@@ -31,27 +32,16 @@ struct BruteOptions {
 uint64_t SaturatingPower(uint64_t base, uint64_t exp);
 
 /// Literal Theorem 1 evaluation: quantifies over *all* mappings `h : C → C`
-/// respecting the uniqueness axioms, with no partition canonicalization.
-/// Exponentially redundant; exists to cross-validate `ExactEvaluator`
-/// (tests) and to quantify the win of canonicalization (bench E7).
-class BruteForceEvaluator {
+/// respecting the uniqueness axioms, with no partition canonicalization —
+/// the `ExactEvaluator` front-end over the all-functions mapping source,
+/// always walked in order. Exponentially redundant; exists to
+/// cross-validate the canonical enumeration (tests) and to quantify the
+/// win of canonicalization (bench E7). Calls fail with `ResourceExhausted`
+/// up front when `|C|^|C|` exceeds `max_mappings`.
+class BruteForceEvaluator : public ExactEvaluator {
  public:
-  explicit BruteForceEvaluator(const CwDatabase* lb, BruteOptions options = {})
-      : lb_(lb), options_(options) {}
-
-  Result<Relation> Answer(const Query& query);
-  Result<bool> Contains(const Query& query, const Tuple& candidate);
-
-  uint64_t last_mappings_examined() const { return last_mappings_; }
-
-  /// Kernel-memo counters of the most recent call (zeros with memo off).
-  const KernelMemoCounters& last_memo_counters() const { return last_memo_; }
-
- private:
-  const CwDatabase* lb_;
-  BruteOptions options_;
-  uint64_t last_mappings_ = 0;
-  KernelMemoCounters last_memo_;
+  explicit BruteForceEvaluator(const CwDatabase* lb,
+                               BruteOptions options = {});
 };
 
 struct ModelEnumOptions {

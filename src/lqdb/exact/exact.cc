@@ -1,11 +1,15 @@
 #include "lqdb/exact/exact.h"
 
 #include <optional>
+#include <utility>
+
+#include "lqdb/exact/sweep.h"
+#include "lqdb/util/thread_pool.h"
 
 namespace lqdb {
 
-Status ValidateExactCandidate(const CwDatabase& lb, const Query& query,
-                              const Tuple& candidate) {
+Status ValidateCandidate(const CwDatabase& lb, const Query& query,
+                         const Tuple& candidate) {
   if (candidate.size() != query.arity()) {
     return Status::InvalidArgument("candidate arity does not match query");
   }
@@ -36,220 +40,53 @@ std::vector<Tuple> AllCandidateTuples(size_t arity, ConstId n) {
   return out;
 }
 
-Status EvalCandidatesUnderMapping(Evaluator* eval, const BoundQuery& bound,
-                                  const ConstMapping& h,
-                                  const std::vector<Tuple>& candidates,
-                                  const uint32_t* subset, size_t count,
-                                  CandidateBatch* batch) {
-  const size_t arity = bound.arity();
-  batch->values.resize(count * arity);
-  for (size_t k = 0; k < count; ++k) {
-    const Tuple& c = candidates[subset == nullptr ? k : subset[k]];
-    Value* row = batch->values.data() + k * arity;
-    for (size_t i = 0; i < arity; ++i) row[i] = h[c[i]];
-  }
-  return eval->SatisfiesBatch(bound, batch->values.data(), count,
-                              &batch->verdicts);
+ExactEvaluator::ExactEvaluator(const CwDatabase* lb, ExactOptions options,
+                               MappingSource source)
+    : lb_(lb), options_(options), source_(source) {
+  const int threads = options.threads > 0 ? options.threads
+                                          : ThreadPool::DefaultThreads();
+  if (threads != 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-Status MemoEvalCandidatesUnderMapping(Evaluator* eval, const CwDatabase& lb,
-                                      PhysicalDatabase* image,
-                                      const BoundQuery& bound,
-                                      const ConstMapping& h,
-                                      const std::vector<Tuple>& candidates,
-                                      const uint32_t* subset, size_t count,
-                                      CandidateBatch* batch,
-                                      const KernelMemoSweep& memo) {
-  if (memo.memo == nullptr || !memo.memo->enabled()) {
-    ApplyMappingInto(lb, h, image);
-    return EvalCandidatesUnderMapping(eval, bound, h, candidates, subset,
-                                      count, batch);
-  }
-  const size_t arity = bound.arity();
-  MemoSweepScratch& s = *memo.scratch;
-  memo.ctx->SignatureOf(h, &s.sig);
-  const uint32_t sig_id = memo.memo->InternSignature(s.sig.sig);
+ExactEvaluator::~ExactEvaluator() = default;
 
-  batch->verdicts.resize(count);
-  s.rows.resize(count * arity);
-  s.miss_local.clear();
-  for (size_t k = 0; k < count; ++k) {
-    const Tuple& c = candidates[subset == nullptr ? k : subset[k]];
-    Value* row = s.rows.data() + k * arity;
-    for (size_t i = 0; i < arity; ++i) row[i] = s.sig.relabel[h[c[i]]];
-    const int verdict = memo.memo->LookupRow(sig_id, row, arity);
-    if (verdict < 0) {
-      s.miss_local.push_back(static_cast<uint32_t>(k));
-    } else {
-      batch->verdicts[k] = static_cast<char>(verdict);
-    }
-  }
-  memo.memo->CountLookups(count - s.miss_local.size(), s.miss_local.size());
-  if (s.miss_local.empty()) {
-    memo.memo->CountImageSkipped();
-    return Status::OK();
-  }
-
-  ApplyMappingInto(lb, h, image);
-  s.miss_subset.resize(s.miss_local.size());
-  for (size_t j = 0; j < s.miss_local.size(); ++j) {
-    const uint32_t k = s.miss_local[j];
-    s.miss_subset[j] = subset == nullptr ? k : subset[k];
-  }
-  LQDB_RETURN_IF_ERROR(EvalCandidatesUnderMapping(
-      eval, bound, h, candidates, s.miss_subset.data(), s.miss_subset.size(),
-      &s.miss_batch));
-  for (size_t j = 0; j < s.miss_local.size(); ++j) {
-    const uint32_t k = s.miss_local[j];
-    const bool verdict = s.miss_batch.verdicts[j] != 0;
-    batch->verdicts[k] = static_cast<char>(verdict);
-    memo.memo->InsertRow(sig_id, s.rows.data() + k * arity, arity, verdict);
-  }
-  return Status::OK();
+int ExactEvaluator::threads() const {
+  return pool_ == nullptr ? 1 : pool_->num_threads();
 }
 
-Result<bool> ExactEvaluator::Contains(
-    const Query& query, const Tuple& candidate,
-    std::optional<Counterexample>* counterexample) {
+Result<Relation> ExactEvaluator::Sweep(
+    const BoundQuery& bound, const Tuple* candidate, bool possible,
+    std::optional<Counterexample>* decisive) {
   LQDB_RETURN_IF_ERROR(lb_->Validate());
-  LQDB_RETURN_IF_ERROR(ValidateExactCandidate(*lb_, query, candidate));
-  if (counterexample != nullptr) counterexample->reset();
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-
-  bool contained = true;
-  Status error = Status::OK();
-  uint64_t examined = 0;
-
-  const std::vector<Tuple> candidates = {candidate};
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              candidates, nullptr, 1, &batch,
-                                              sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    if (!batch.verdicts[0]) {
-      // A memo-served falsifying verdict still makes *this* h a genuine
-      // counterexample: its image is isomorphic to the one evaluated.
-      contained = false;
-      if (counterexample != nullptr) *counterexample = Counterexample{h};
-      return false;  // first counterexample settles membership
-    }
-    return true;
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return contained;
+  LQDB_ASSIGN_OR_RETURN(const ReducedPlan* plan, CompiledCheck(bound));
+  const SweepSpec spec{lb_, &bound, plan, source_, pool_.get(),
+                       possible, &options_};
+  std::vector<Tuple> candidates =
+      candidate != nullptr
+          ? std::vector<Tuple>{*candidate}
+          : AllCandidateTuples(bound.arity(),
+                               static_cast<ConstId>(lb_->num_constants()));
+  SweepResult result;
+  const Status status = RunSweep(spec, std::move(candidates), &result);
+  last_mappings_ = result.mappings;
+  last_memo_ = result.memo;
+  last_worker_ranges_ = std::move(result.worker_ranges);
+  if (!status.ok()) return status;
+  if (decisive != nullptr && result.decisive.has_value()) {
+    *decisive = Counterexample{std::move(*result.decisive)};
+  }
+  return std::move(result.answer);
 }
 
-Result<bool> ExactEvaluator::IsPossible(
-    const Query& query, const Tuple& candidate,
-    std::optional<Counterexample>* witness) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-  LQDB_RETURN_IF_ERROR(ValidateExactCandidate(*lb_, query, candidate));
-  if (witness != nullptr) witness->reset();
+Result<bool> ExactEvaluator::Decide(const Query& query, const Tuple& candidate,
+                                    bool possible,
+                                    std::optional<Counterexample>* decisive) {
+  LQDB_RETURN_IF_ERROR(ValidateCandidate(*lb_, query, candidate));
+  if (decisive != nullptr) decisive->reset();
   LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-
-  bool possible = false;
-  Status error = Status::OK();
-  uint64_t examined = 0;
-
-  const std::vector<Tuple> candidates = {candidate};
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              candidates, nullptr, 1, &batch,
-                                              sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    if (batch.verdicts[0]) {
-      possible = true;
-      if (witness != nullptr) *witness = Counterexample{h};
-      return false;  // first satisfying model settles possibility
-    }
-    return true;
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return possible;
-}
-
-Result<Relation> ExactEvaluator::PossibleAnswer(const Query& query) {
-  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
-  return PossibleAnswerBound(bound);
-}
-
-Result<Relation> ExactEvaluator::PossibleAnswerBound(const BoundQuery& bound) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
-
-  const size_t arity = bound.arity();
-  const ConstId n = static_cast<ConstId>(lb_->num_constants());
-
-  // Dual pruning to Answer: candidates start *dead* and every mapping may
-  // resurrect some; stop once all are alive.
-  std::vector<Tuple> pending = AllCandidateTuples(arity, n);
-
-  Relation answer(static_cast<int>(arity));
-  Status error = Status::OK();
-  uint64_t examined = 0;
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              pending, nullptr, pending.size(),
-                                              &batch, sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    size_t kept = 0;
-    for (size_t k = 0; k < pending.size(); ++k) {
-      if (batch.verdicts[k]) {
-        answer.Insert(std::move(pending[k]));
-      } else {
-        if (kept != k) pending[kept] = std::move(pending[k]);
-        ++kept;
-      }
-    }
-    pending.resize(kept);
-    return !pending.empty();  // nothing left to prove possible
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
-  return answer;
+  LQDB_ASSIGN_OR_RETURN(Relation answer,
+                        Sweep(bound, &candidate, possible, decisive));
+  return !answer.empty();
 }
 
 Result<Relation> ExactEvaluator::Answer(const Query& query) {
@@ -258,50 +95,28 @@ Result<Relation> ExactEvaluator::Answer(const Query& query) {
 }
 
 Result<Relation> ExactEvaluator::AnswerBound(const BoundQuery& bound) {
-  LQDB_RETURN_IF_ERROR(lb_->Validate());
+  return Sweep(bound, nullptr, /*possible=*/false, nullptr);
+}
 
-  const size_t arity = bound.arity();
-  const ConstId n = static_cast<ConstId>(lb_->num_constants());
+Result<bool> ExactEvaluator::Contains(
+    const Query& query, const Tuple& candidate,
+    std::optional<Counterexample>* counterexample) {
+  return Decide(query, candidate, /*possible=*/false, counterexample);
+}
 
-  // All candidate tuples over C start alive; every mapping prunes.
-  std::vector<Tuple> alive = AllCandidateTuples(arity, n);
+Result<Relation> ExactEvaluator::PossibleAnswer(const Query& query) {
+  LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
+  return PossibleAnswerBound(bound);
+}
 
-  Status error = Status::OK();
-  uint64_t examined = 0;
-  CandidateBatch batch;
-  PhysicalDatabase image(&lb_->vocab());
-  Evaluator eval(&image, options_.eval);
-  KernelMemoState memo(*lb_, bound, options_.memo, options_.memo_max_entries);
-  const KernelMemoSweep sweep = memo.sweep();
-  ForEachCanonicalMapping(*lb_, [&](const ConstMapping& h) {
-    if (++examined > options_.max_mappings) {
-      error = Status::ResourceExhausted(
-          "exceeded max_mappings = " + std::to_string(options_.max_mappings));
-      return false;
-    }
-    Status s = MemoEvalCandidatesUnderMapping(&eval, *lb_, &image, bound, h,
-                                              alive, nullptr, alive.size(),
-                                              &batch, sweep);
-    if (!s.ok()) {
-      error = s;
-      return false;
-    }
-    size_t kept = 0;
-    for (size_t k = 0; k < alive.size(); ++k) {
-      if (!batch.verdicts[k]) continue;
-      if (kept != k) alive[kept] = std::move(alive[k]);
-      ++kept;
-    }
-    alive.resize(kept);
-    return !alive.empty();  // nothing left to disprove
-  });
-  last_mappings_ = examined;
-  last_memo_ = memo.memo.counters();
-  if (!error.ok()) return error;
+Result<Relation> ExactEvaluator::PossibleAnswerBound(const BoundQuery& bound) {
+  return Sweep(bound, nullptr, /*possible=*/true, nullptr);
+}
 
-  Relation answer(static_cast<int>(arity));
-  for (Tuple& t : alive) answer.Insert(std::move(t));
-  return answer;
+Result<bool> ExactEvaluator::IsPossible(
+    const Query& query, const Tuple& candidate,
+    std::optional<Counterexample>* witness) {
+  return Decide(query, candidate, /*possible=*/true, witness);
 }
 
 }  // namespace lqdb

@@ -2,7 +2,9 @@
 #define LQDB_EXACT_EXACT_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
@@ -15,11 +17,16 @@
 
 namespace lqdb {
 
+class ThreadPool;
+struct ReducedPlan;
+
 struct ExactOptions {
   /// Abort with `ResourceExhausted` after examining this many canonical
   /// mappings — the co-NP enumeration is exponential in the number of
   /// unknown values (Theorem 5), so callers opt into how much work a query
-  /// may burn.
+  /// may burn. Counted globally across worker threads; an answer fully
+  /// decided within the budget is returned even when workers still
+  /// mid-chunk nudged the shared count past it before standing down.
   uint64_t max_mappings = 10'000'000;
   /// Join-order enumeration cap for the compiled RA path (see
   /// `RaCardinalities::dp_join_cap`): conjunctions up to this many positive
@@ -29,111 +36,49 @@ struct ExactOptions {
   /// Kernel-class verdict memoization (eval/kernel_memo.h): per-mapping
   /// signatures over the query-relevant constants let signature-equivalent
   /// images share candidate verdicts within one call, skipping the image
-  /// build entirely on a full hit. Answers are bit-identical either way
+  /// check entirely on a full hit. Answers are bit-identical either way
   /// (pinned by the differential suite); the toggle exists for A/B runs
   /// (`set memo on|off` in the shell).
   bool memo = true;
   /// Entry cap of the per-call verdict table; beyond it the memo saturates
   /// (stops inserting, never evicts).
   size_t memo_max_entries = KernelMemo::kDefaultMaxEntries;
+  /// Worker threads of the canonical-mapping sweep; 0 means
+  /// `ThreadPool::DefaultThreads()`. At 1 the mappings are walked in order
+  /// on the calling thread; otherwise the engine keeps a pool and the
+  /// kernel-partition space is work-stolen across it. Answers are
+  /// identical at every thread count (shell: `set threads N`).
+  int threads = 1;
+  /// Work-stealing granularity: a worker walks at most this many mappings
+  /// of a range before donating the unvisited remainder back to the shared
+  /// queue, so an arbitrarily skewed range can never serialize more than
+  /// `steal_chunk` mappings on one worker. Values < 1 are clamped to 1.
+  uint64_t steal_chunk = 64;
   EvalOptions eval;
 };
 
+/// Which mappings a Theorem 1 sweep quantifies over.
+enum class MappingSource {
+  /// One canonical representative per kernel partition (see
+  /// `ForEachCanonicalMapping`).
+  kCanonical,
+  /// Every function `h : C → C` respecting the uniqueness axioms (see
+  /// `ForEachMapping`) — the literal definition, exponentially redundant.
+  kAllFunctions,
+};
+
 /// Checks that `candidate` has the query's arity and only references
-/// constants of `lb` — the shared entry validation of the Theorem 1
-/// engines (exact, brute, parallel).
-Status ValidateExactCandidate(const CwDatabase& lb, const Query& query,
-                              const Tuple& candidate);
+/// constants of `lb` — the one entry validation of every builtin engine's
+/// membership test.
+Status ValidateCandidate(const CwDatabase& lb, const Query& query,
+                         const Tuple& candidate);
 
 /// All tuples over the constants `[0, n)` of the given arity, in odometer
 /// order — the candidate space the Theorem 1 engines prune (one shared
-/// definition so sequential and parallel answers enumerate identically).
+/// definition so every engine enumerates identically).
 /// Arity 0 yields the single empty tuple (the Boolean candidate); a
 /// positive arity over zero constants yields the empty space.
 std::vector<Tuple> AllCandidateTuples(size_t arity, ConstId n);
-
-/// Scratch buffers for the batched per-image candidate sweep shared by the
-/// Theorem 1 engines — reused across mappings so the hot loop stays
-/// allocation-free once the buffers reach steady size.
-struct CandidateBatch {
-  std::vector<Value> values;   // flat count × arity binding rows
-  std::vector<char> verdicts;  // per-candidate truth under one image
-};
-
-/// Evaluates a candidate set against one image database in a single batched
-/// call: row `k` binds head variable `i` of `bound` to `h[c[i]]` where `c`
-/// is the k-th swept candidate. With `subset == nullptr` the sweep covers
-/// `candidates[0 .. count)`; otherwise it covers
-/// `candidates[subset[0 .. count)]` (the open-candidate snapshot of the
-/// parallel engine). On success `batch->verdicts[k]` is the verdict for the
-/// k-th swept candidate. `eval` must be bound to the image database of `h`.
-/// This is the one per-mapping inner loop shared by the sequential, brute
-/// and parallel engines, so their answers stay bit-identical by
-/// construction.
-Status EvalCandidatesUnderMapping(Evaluator* eval, const BoundQuery& bound,
-                                  const ConstMapping& h,
-                                  const std::vector<Tuple>& candidates,
-                                  const uint32_t* subset, size_t count,
-                                  CandidateBatch* batch);
-
-/// Per-thread scratch of the memoized sweep (`MemoEvalCandidatesUnderMapping`).
-struct MemoSweepScratch {
-  KernelSignatureScratch sig;
-  std::vector<Value> rows;           // relabeled candidate rows, count × arity
-  std::vector<uint32_t> miss_local;  // sweep positions the memo could not serve
-  std::vector<uint32_t> miss_subset; // their global candidate indices
-  CandidateBatch miss_batch;
-};
-
-/// One engine call's memoization hookup: a verdict table (shared across
-/// workers for the parallel engine), the signature context of the call's
-/// query, and this thread's scratch. A null `memo` (or a disabled one)
-/// makes `MemoEvalCandidatesUnderMapping` behave exactly like
-/// `ApplyMappingInto` + `EvalCandidatesUnderMapping`.
-struct KernelMemoSweep {
-  KernelMemo* memo = nullptr;
-  const KernelSignatureContext* ctx = nullptr;
-  MemoSweepScratch* scratch = nullptr;
-};
-
-/// Per-call owner of the memoization machinery used by the sequential
-/// engines (exact, brute): one verdict table, the query's signature
-/// context, and the call's scratch. The memo's lifetime is one
-/// Answer/Contains call — cross-call reuse is the service layer's result
-/// cache, which also knows when the database changed. The parallel engine
-/// shares `memo`/`ctx` across workers but gives each its own scratch.
-struct KernelMemoState {
-  KernelMemoState(const CwDatabase& lb, const BoundQuery& bound, bool enabled,
-                  size_t max_entries)
-      : memo(enabled, max_entries) {
-    if (enabled) ctx.emplace(lb, bound.constants());
-  }
-
-  KernelMemoSweep sweep() {
-    if (!memo.enabled()) return {};
-    return {&memo, &*ctx, &scratch};
-  }
-
-  KernelMemo memo;
-  std::optional<KernelSignatureContext> ctx;
-  MemoSweepScratch scratch;
-};
-
-/// The memo-wrapped per-mapping inner loop: consults the kernel-signature
-/// table before touching the image — when every swept candidate's verdict
-/// is already known the image database is never built — and otherwise
-/// applies the mapping and evaluates only the missing candidates, recording
-/// their verdicts. Fills `batch->verdicts` exactly as
-/// `EvalCandidatesUnderMapping` would (same contract, same answers), with
-/// `image`/`eval` the caller's scratch image database and its evaluator.
-Status MemoEvalCandidatesUnderMapping(Evaluator* eval, const CwDatabase& lb,
-                                      PhysicalDatabase* image,
-                                      const BoundQuery& bound,
-                                      const ConstMapping& h,
-                                      const std::vector<Tuple>& candidates,
-                                      const uint32_t* subset, size_t count,
-                                      CandidateBatch* batch,
-                                      const KernelMemoSweep& memo);
 
 /// A witness that a tuple is *not* in `Q(LB)`: a mapping `h` respecting the
 /// uniqueness axioms with `h(c) ∉ Q(h(Ph₁(LB)))` — i.e. a model of `T`
@@ -150,11 +95,23 @@ struct Counterexample {
 ///                   that respects the uniqueness axioms,
 ///
 /// enumerating one representative per kernel partition (see
-/// `ForEachCanonicalMapping`) with early exit on the first counterexample.
+/// `ForEachCanonicalMapping`) with early exit once every candidate is
+/// decided. Each image is checked the Tarskian way: the image database is
+/// built and the open candidates are evaluated against it in one batched
+/// `Evaluator::SatisfiesBatch` call (registered as "batched-exact").
+///
+/// This class is the front-end of every exact engine: it validates, picks
+/// a mapping source and a per-image check, and hands both to the one sweep
+/// driver (exact/sweep.h). `RaExactEvaluator` swaps in the compiled check
+/// and `BruteForceEvaluator` the all-functions source.
 class ExactEvaluator {
  public:
   explicit ExactEvaluator(const CwDatabase* lb, ExactOptions options = {})
-      : lb_(lb), options_(options) {}
+      : ExactEvaluator(lb, options, MappingSource::kCanonical) {}
+  virtual ~ExactEvaluator();
+
+  ExactEvaluator(const ExactEvaluator&) = delete;
+  ExactEvaluator& operator=(const ExactEvaluator&) = delete;
 
   /// The answer `Q(LB)` — a relation over the constant symbols `C`
   /// (§2.1: logical answers are tuples of constants, not domain values).
@@ -190,17 +147,52 @@ class ExactEvaluator {
   Result<bool> IsPossible(const Query& query, const Tuple& candidate,
                           std::optional<Counterexample>* witness = nullptr);
 
-  /// Mappings examined by the most recent call (for the E1/E7 benches).
+  /// Mappings examined by the most recent call, summed across workers
+  /// (for the E1/E7 benches).
   uint64_t last_mappings_examined() const { return last_mappings_; }
 
   /// Kernel-memo counters of the most recent call (zeros with memo off).
   const KernelMemoCounters& last_memo_counters() const { return last_memo_; }
 
- private:
+  /// Ranges (work-stealing chunks) retired per worker by the most recent
+  /// call, indexed by worker; empty for the in-order walk at one thread.
+  /// Under early exit some workers may legitimately retire zero.
+  const std::vector<uint64_t>& last_worker_ranges() const {
+    return last_worker_ranges_;
+  }
+
+  /// The number of worker threads the sweep runs on.
+  int threads() const;
+
+ protected:
+  ExactEvaluator(const CwDatabase* lb, ExactOptions options,
+                 MappingSource source);
+
+  /// The per-image check of a sweep over a binding: a semijoin-reduced
+  /// plan for the compiled check, or null for the Tarskian one.
+  virtual Result<const ReducedPlan*> CompiledCheck(const BoundQuery&) {
+    return static_cast<const ReducedPlan*>(nullptr);
+  }
+
   const CwDatabase* lb_;
   ExactOptions options_;
+
+ private:
+  /// Runs the sweep over `*candidate` alone, or over every candidate tuple
+  /// when null, in certain or possible mode; fills `*decisive` (when
+  /// non-null) with the mapping that decided the last candidate.
+  Result<Relation> Sweep(const BoundQuery& bound, const Tuple* candidate,
+                         bool possible,
+                         std::optional<Counterexample>* decisive);
+  /// `Contains` (certain mode) and `IsPossible` (possible mode).
+  Result<bool> Decide(const Query& query, const Tuple& candidate,
+                      bool possible, std::optional<Counterexample>* decisive);
+
+  MappingSource source_;
+  std::unique_ptr<ThreadPool> pool_;  // null: the in-order walk
   uint64_t last_mappings_ = 0;
   KernelMemoCounters last_memo_;
+  std::vector<uint64_t> last_worker_ranges_;
 };
 
 }  // namespace lqdb

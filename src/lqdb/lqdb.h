@@ -34,7 +34,7 @@
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
+#include "lqdb/exact/ra_exact.h"
 #include "lqdb/io/text_format.h"
 #include "lqdb/logic/builder.h"
 #include "lqdb/logic/classify.h"

@@ -11,10 +11,10 @@ namespace lqdb {
 namespace {
 
 /// Join-ordering statistics for the prepare-time RA compile; mirrors the
-/// ra-exact engine's view (image cardinalities are bounded by the logical
+/// exact engine's view (image cardinalities are bounded by the logical
 /// database's fact counts and `|C|`). The session's join-order cap shapes
 /// the compiled plan, so it must flow into the prepare-time compile just
-/// as it does into the ra-exact engine's own plan cache.
+/// as it does into the exact engine's own plan cache.
 RaCardinalities StatsFor(const CwDatabase& lb, const EngineOptions& options) {
   RaCardinalities stats;
   stats.domain_size = static_cast<double>(lb.num_constants());
@@ -33,10 +33,11 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
   // knobs select different sound approximations in principle) or flips an
   // execution between an answer and `ResourceExhausted` (the budgets), or
   // shapes the compiled plan cached inside the prepared statement (the
-  // join-order cap). Deliberately absent: `threads` (answers are
-  // bit-identical across thread counts — a candidate's membership is a
-  // property of the mapping space, not the traversal) and the kernel-memo
-  // toggle (memo-on ≡ memo-off is pinned by the differential suite).
+  // join-order cap). Deliberately absent: `threads` and `steal_chunk`
+  // (answers are bit-identical across thread counts and chunk sizes — a
+  // candidate's membership is a property of the mapping space, not the
+  // traversal) and the kernel-memo toggle (memo-on ≡ memo-off is pinned by
+  // the differential suite).
   std::string key;
   key += "emm=" + std::to_string(options.exact.max_mappings);
   key += ";cap=" + std::to_string(options.exact.ra_dp_join_cap);
@@ -174,7 +175,7 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
     LQDB_ASSIGN_OR_RETURN(
         entry,
         PreparedQuery::Make(text, engine, options_key, std::move(query)));
-    // Compile once at prepare time regardless of engine: ra-exact executes
+    // Compile once at prepare time regardless of engine: exact executes
     // the plan, and the other engines ignore it. A failed compile (second
     // order) is cached inside the binding as "use the fallback".
     const RaCardinalities stats = StatsFor(*db_, engine_options);

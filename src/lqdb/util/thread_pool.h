@@ -14,8 +14,8 @@ namespace lqdb {
 
 /// A small fixed-size worker pool. Tasks are plain `void()` closures;
 /// `Wait()` blocks until every submitted task has finished, so one pool can
-/// be reused across many fan-out rounds (the parallel exact engine keeps a
-/// pool alive across queries instead of spawning threads per call).
+/// be reused across many fan-out rounds (a multi-threaded exact engine
+/// keeps a pool alive across queries instead of spawning threads per call).
 ///
 /// Exceptions must not escape tasks (the library is Status-based); a task
 /// that throws terminates the process.
@@ -53,8 +53,8 @@ class ThreadPool {
 
   /// Submits `fn(worker_index)` once per worker and blocks until every
   /// instance (and any previously submitted task) finishes — the
-  /// fan-out/join step of data-parallel callers such as the parallel exact
-  /// engine's range scheduler. The callback receives a dense index in
+  /// fan-out/join step of data-parallel callers such as the Theorem 1
+  /// sweep's work-stealing walk. The callback receives a dense index in
   /// `[0, num_threads())`; instances may land on any worker.
   void FanOut(const std::function<void(int)>& fn);
 

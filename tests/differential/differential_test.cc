@@ -4,7 +4,10 @@
 ///     enumerating *every* mapping h : C → C — slow but definitionally
 ///     correct, so it serves as the oracle;
 ///   - `ExactEvaluator` (exact/exact): Theorem 1 with canonical-mapping
-///     enumeration — must agree with brute on every instance;
+///     enumeration and the Tarskian per-image check — must agree with brute
+///     on every instance, and is the reference the compiled engine
+///     (`RaExactEvaluator`, registered as "exact") and the multi-threaded
+///     sweeps are compared against;
 ///   - `ApproxEvaluator` (approx/): the §5 polynomial approximation — must
 ///     be sound (⊆ exact) always, and complete on fully specified databases
 ///     (Theorem 12) and positive queries (Theorem 13).
@@ -24,6 +27,7 @@
 #include "lqdb/engine/engine.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
+#include "lqdb/exact/ra_exact.h"
 #include "lqdb/logic/classify.h"
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
@@ -225,13 +229,14 @@ TEST(DifferentialTest, PositiveQueriesAreComplete) {
   }
 }
 
-/// The parallel-engine agreement dimension: `ParallelExactEvaluator`
-/// (reached through the engine registry, the way every other caller gets
-/// it) must compute exactly the same certain and possible answers as the
-/// sequential `ExactEvaluator` on *every* instance the suite generates —
-/// the same 268 (profile, seed) pairs the other dimensions sweep, so a
-/// partition-splitting or coordination bug cannot hide in a corner the
-/// sequential tests cover but the parallel ones skip.
+/// The multi-threaded agreement dimension: the work-stealing sweep at
+/// `threads = 4`, under both per-image checks ("batched-exact" and the
+/// compiled "exact", reached through the engine registry the way every
+/// other caller gets them), must compute exactly the same certain and
+/// possible answers as the sequential `ExactEvaluator` on *every* instance
+/// the suite generates — the same 268 (profile, seed) pairs the other
+/// dimensions sweep, so a partition-splitting or coordination bug cannot
+/// hide in a corner the sequential tests cover but the parallel ones skip.
 TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
   struct Sweep {
     InstanceProfile profile;
@@ -258,22 +263,25 @@ TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
       ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                            exact.PossibleAnswer(instance.query));
 
-      EngineOptions options;
-      options.threads = 4;
-      ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
-                           EngineRegistry::Global().Create(
-                               "parallel-exact", instance.db.get(), options));
-      ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
-                           parallel->Answer(instance.query));
-      EXPECT_EQ(parallel_answer, exact_answer)
-          << AnswerDiff(*instance.db, "parallel", parallel_answer, "exact",
-                        exact_answer);
+      for (const char* name : {"batched-exact", "exact"}) {
+        SCOPED_TRACE(name);
+        EngineOptions options;
+        options.exact.threads = 4;
+        ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
+                             EngineRegistry::Global().Create(
+                                 name, instance.db.get(), options));
+        ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
+                             parallel->Answer(instance.query));
+        EXPECT_EQ(parallel_answer, exact_answer)
+            << AnswerDiff(*instance.db, "parallel", parallel_answer,
+                          "sequential", exact_answer);
 
-      ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
-                           parallel->PossibleAnswer(instance.query));
-      EXPECT_EQ(parallel_possible, exact_possible)
-          << AnswerDiff(*instance.db, "parallel", parallel_possible, "exact",
-                        exact_possible);
+        ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
+                             parallel->PossibleAnswer(instance.query));
+        EXPECT_EQ(parallel_possible, exact_possible)
+            << AnswerDiff(*instance.db, "parallel", parallel_possible,
+                          "sequential", exact_possible);
+      }
     }
   }
   EXPECT_EQ(instances, 268u);
@@ -282,9 +290,10 @@ TEST(DifferentialTest, ParallelExactAgreesOnAllInstances) {
 /// The work-stealing dimension: the skewed profile hangs the whole
 /// canonical-mapping mass under one giant kernel-class subtree (the known
 /// constants pin a single RGS prefix chain), the adversarial shape for the
-/// parallel engine's scheduler. With deliberately tiny steal chunks — lots
-/// of remainder donation — the parallel answers must still be bit-identical
-/// to the sequential engine's on every instance.
+/// work-stealing walk. With deliberately tiny steal chunks — lots of
+/// remainder donation — the parallel answers of both per-image checks (the
+/// Tarskian one at 8 threads, the compiled one at 4) must still be
+/// bit-identical to the sequential engine's on every instance.
 TEST(DifferentialTest, SkewedProfileParallelAgreesOnAllInstances) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     DifferentialInstance instance =
@@ -296,24 +305,30 @@ TEST(DifferentialTest, SkewedProfileParallelAgreesOnAllInstances) {
     ASSERT_OK_AND_ASSIGN(Relation exact_possible,
                          exact.PossibleAnswer(instance.query));
 
-    ParallelExactOptions options;
+    ExactOptions options;
     options.threads = 8;
     options.steal_chunk = 8;
-    ParallelExactEvaluator parallel(instance.db.get(), options);
-    ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
-                         parallel.Answer(instance.query));
-    EXPECT_EQ(parallel_answer, exact_answer)
-        << AnswerDiff(*instance.db, "parallel", parallel_answer, "exact",
-                      exact_answer);
-    ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
-                         parallel.PossibleAnswer(instance.query));
-    EXPECT_EQ(parallel_possible, exact_possible)
-        << AnswerDiff(*instance.db, "parallel", parallel_possible, "exact",
-                      exact_possible);
+    ExactEvaluator tarskian(instance.db.get(), options);
+    options.threads = 4;
+    RaExactEvaluator compiled(instance.db.get(), options);
+    ExactEvaluator* const sweeps[] = {&tarskian, &compiled};
+    for (ExactEvaluator* parallel : sweeps) {
+      SCOPED_TRACE(parallel == &tarskian ? "tarskian" : "compiled");
+      ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
+                           parallel->Answer(instance.query));
+      EXPECT_EQ(parallel_answer, exact_answer)
+          << AnswerDiff(*instance.db, "parallel", parallel_answer,
+                        "sequential", exact_answer);
+      ASSERT_OK_AND_ASSIGN(Relation parallel_possible,
+                           parallel->PossibleAnswer(instance.query));
+      EXPECT_EQ(parallel_possible, exact_possible)
+          << AnswerDiff(*instance.db, "parallel", parallel_possible,
+                        "sequential", exact_possible);
+    }
   }
 }
 
-/// The compiled-plan dimension: `ra-exact` replaces the per-image batched
+/// The compiled-plan dimension: `exact` replaces the per-image batched
 /// evaluator with a cached relational-algebra plan (hash joins, anti-joins
 /// for negation, shared subplans for `↔`/`→`/`∀`), so the whole compiler +
 /// executor stack must reproduce `ExactEvaluator`'s answers bit-for-bit on
@@ -347,26 +362,26 @@ TEST(DifferentialTest, RaExactAgreesOnAllInstances) {
 
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
                            EngineRegistry::Global().Create(
-                               "ra-exact", instance.db.get()));
+                               "exact", instance.db.get()));
       ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
       EXPECT_EQ(ra_answer, exact_answer)
-          << AnswerDiff(*instance.db, "ra-exact", ra_answer, "exact",
+          << AnswerDiff(*instance.db, "exact", ra_answer, "batched-exact",
                         exact_answer);
 
       ASSERT_OK_AND_ASSIGN(Relation ra_possible,
                            ra->PossibleAnswer(instance.query));
       EXPECT_EQ(ra_possible, exact_possible)
-          << AnswerDiff(*instance.db, "ra-exact", ra_possible, "exact",
+          << AnswerDiff(*instance.db, "exact", ra_possible, "batched-exact",
                         exact_possible);
     }
   }
   EXPECT_EQ(instances, 268u);
 }
 
-/// ra-exact on the skewed profile: the known constants pin a long RGS
-/// prefix chain, so the canonical enumeration visits many near-identical
-/// images — exactly the case the cached plan is supposed to accelerate
-/// without changing a single answer.
+/// The compiled engine on the skewed profile: the known constants pin a
+/// long RGS prefix chain, so the canonical enumeration visits many
+/// near-identical images — exactly the case the cached plan is supposed to
+/// accelerate without changing a single answer.
 TEST(DifferentialTest, SkewedProfileRaExactAgreesOnAllInstances) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     DifferentialInstance instance =
@@ -380,27 +395,28 @@ TEST(DifferentialTest, SkewedProfileRaExactAgreesOnAllInstances) {
 
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<QueryEngine> ra,
-        EngineRegistry::Global().Create("ra-exact", instance.db.get()));
+        EngineRegistry::Global().Create("exact", instance.db.get()));
     ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
     EXPECT_EQ(ra_answer, exact_answer)
-        << AnswerDiff(*instance.db, "ra-exact", ra_answer, "exact",
+        << AnswerDiff(*instance.db, "exact", ra_answer, "batched-exact",
                       exact_answer);
     ASSERT_OK_AND_ASSIGN(Relation ra_possible,
                          ra->PossibleAnswer(instance.query));
     EXPECT_EQ(ra_possible, exact_possible)
-        << AnswerDiff(*instance.db, "ra-exact", ra_possible, "exact",
+        << AnswerDiff(*instance.db, "exact", ra_possible, "batched-exact",
                       exact_possible);
   }
 }
 
-/// ra-exact on the generated large-world profile: an order of magnitude
-/// more constants and facts than the toy profiles (lqdb/gen/scenario.h),
-/// with a fixed join-heavy query pool — the regime the compiled engine's
-/// join-order DP and semijoin reduction actually target, so agreement here
-/// covers plan shapes (multi-join chains, binary heads, guarded universals
-/// over large relations) the random toy formulas rarely produce. Few
-/// unknowns keep the mapping count in the hundreds, so the sweep stays
-/// CI-safe under the sanitizers; six seeds cycle through every pool query.
+/// The compiled engine on the generated large-world profile: an order of
+/// magnitude more constants and facts than the toy profiles
+/// (lqdb/gen/scenario.h), with a fixed join-heavy query pool — the regime
+/// the compiled engine's join-order DP and semijoin reduction actually
+/// target, so agreement here covers plan shapes (multi-join chains, binary
+/// heads, guarded universals over large relations) the random toy formulas
+/// rarely produce. Few unknowns keep the mapping count in the hundreds, so
+/// the sweep stays CI-safe under the sanitizers; six seeds cycle through
+/// every pool query.
 TEST(DifferentialTest, LargeProfileRaExactAgreesOnAllInstances) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     DifferentialInstance instance =
@@ -414,15 +430,15 @@ TEST(DifferentialTest, LargeProfileRaExactAgreesOnAllInstances) {
 
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<QueryEngine> ra,
-        EngineRegistry::Global().Create("ra-exact", instance.db.get()));
+        EngineRegistry::Global().Create("exact", instance.db.get()));
     ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
     EXPECT_EQ(ra_answer, exact_answer)
-        << AnswerDiff(*instance.db, "ra-exact", ra_answer, "exact",
+        << AnswerDiff(*instance.db, "exact", ra_answer, "batched-exact",
                       exact_answer);
     ASSERT_OK_AND_ASSIGN(Relation ra_possible,
                          ra->PossibleAnswer(instance.query));
     EXPECT_EQ(ra_possible, exact_possible)
-        << AnswerDiff(*instance.db, "ra-exact", ra_possible, "exact",
+        << AnswerDiff(*instance.db, "exact", ra_possible, "batched-exact",
                       exact_possible);
   }
 }
@@ -468,7 +484,7 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
 }
 
 /// The multi-session dimension: K = 8 concurrent service sessions — mixed
-/// engines, including the mutating approximation and the parallel engine —
+/// engines, including the mutating approximation and multi-threaded sweeps —
 /// each replaying the same prepared statement through the shared cache,
 /// must produce answers bit-identical to a sequential replay of the exact
 /// same call sequence on a fresh copy of the instance. Constant ids are
@@ -481,9 +497,9 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
     int threads;
   };
   const SessionSpec specs[] = {
-      {"exact", 1},          {"ra-exact", 1}, {"parallel-exact", 2},
-      {"brute", 1},          {"exact", 1},    {"ra-exact", 1},
-      {"parallel-exact", 2}, {"approx", 1},
+      {"exact", 1},         {"batched-exact", 1}, {"exact", 2},
+      {"brute", 1},         {"exact", 1},         {"batched-exact", 1},
+      {"batched-exact", 2}, {"approx", 1},
   };
   constexpr size_t kSessions = sizeof(specs) / sizeof(specs[0]);
   constexpr int kRounds = 3;
@@ -509,7 +525,7 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
   auto open = [](Service& service, const SessionSpec& spec) {
     SessionOptions options;
     options.engine = spec.engine;
-    options.engine_options.threads = spec.threads;
+    options.engine_options.exact.threads = spec.threads;
     options.max_in_flight = 2;
     return service.OpenSession(std::move(options)).value();
   };
@@ -654,10 +670,10 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       // The shared-table concurrent path and the compiled-plan path, both
       // memo-on, against the memo-off sequential baseline.
       EngineOptions popts;
-      popts.threads = 4;
+      popts.exact.threads = 4;
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
                            EngineRegistry::Global().Create(
-                               "parallel-exact", instance.db.get(), popts));
+                               "batched-exact", instance.db.get(), popts));
       ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
                            parallel->Answer(instance.query));
       EXPECT_EQ(parallel_answer, baseline_answer)
@@ -666,7 +682,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
 
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
                            EngineRegistry::Global().Create(
-                               "ra-exact", instance.db.get()));
+                               "exact", instance.db.get()));
       ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
       EXPECT_EQ(ra_answer, baseline_answer)
           << AnswerDiff(*instance.db, "ra-memo", ra_answer, "no-memo",
@@ -712,7 +728,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
 
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
                            EngineRegistry::Global().Create(
-                               "ra-exact", instance.db.get()));
+                               "exact", instance.db.get()));
       ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
       EXPECT_EQ(ra_answer, baseline_answer)
           << AnswerDiff(*instance.db, "ra-memo", ra_answer, "no-memo",
@@ -720,10 +736,10 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
 
       if (sweep.profile == InstanceProfile::kSkewed) {
         EngineOptions popts;
-        popts.threads = 8;
+        popts.exact.threads = 8;
         ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
                              EngineRegistry::Global().Create(
-                                 "parallel-exact", instance.db.get(), popts));
+                                 "batched-exact", instance.db.get(), popts));
         ASSERT_OK_AND_ASSIGN(Relation parallel_answer,
                              parallel->Answer(instance.query));
         EXPECT_EQ(parallel_answer, baseline_answer)

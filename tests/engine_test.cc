@@ -30,18 +30,17 @@ std::unique_ptr<CwDatabase> MurderDb() {
 TEST(EngineRegistryTest, BuiltinsAreRegistered) {
   EngineRegistry& registry = EngineRegistry::Global();
   for (const char* name :
-       {"brute", "exact", "parallel-exact", "ra-exact", "approx",
-        "physical"}) {
+       {"brute", "batched-exact", "exact", "approx", "physical"}) {
     EXPECT_TRUE(registry.Has(name)) << name;
   }
   auto names = registry.Names();
-  EXPECT_GE(names.size(), 6u);
+  EXPECT_GE(names.size(), 5u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(EngineRegistryTest, CapabilitiesMatchTheTheorems) {
   EngineRegistry& registry = EngineRegistry::Global();
-  for (const char* name : {"brute", "exact", "parallel-exact", "ra-exact"}) {
+  for (const char* name : {"brute", "batched-exact", "exact"}) {
     ASSERT_OK_AND_ASSIGN(EngineCapabilities caps,
                          registry.CapabilitiesOf(name));
     EXPECT_TRUE(caps.exact()) << name;
@@ -65,7 +64,7 @@ TEST(EngineRegistryTest, UnknownNamesAreNotFound) {
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kNotFound);
   // The error lists the registered engines so shell users can recover.
-  EXPECT_NE(engine.status().message().find("parallel-exact"),
+  EXPECT_NE(engine.status().message().find("batched-exact"),
             std::string::npos)
       << engine.status();
   EXPECT_FALSE(registry.CapabilitiesOf("frobnicator").ok());
@@ -86,7 +85,7 @@ TEST(EngineRegistryTest, DuplicateRegistrationIsRejected) {
 }
 
 TEST(EngineRegistryTest, ExactFamilyEnginesAgreeThroughTheRegistry) {
-  for (const char* name : {"brute", "exact", "parallel-exact", "ra-exact"}) {
+  for (const char* name : {"brute", "batched-exact", "exact"}) {
     SCOPED_TRACE(name);
     auto lb = MurderDb();
     auto query = ParseQuery(lb->mutable_vocab(), "(x) . !MURDERER(x)");
@@ -97,7 +96,7 @@ TEST(EngineRegistryTest, ExactFamilyEnginesAgreeThroughTheRegistry) {
     ASSERT_OK_AND_ASSIGN(Relation expected, reference.Answer(query.value()));
 
     EngineOptions options;
-    options.threads = 2;
+    options.exact.threads = 2;
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<QueryEngine> engine,
         EngineRegistry::Global().Create(name, lb.get(), options));
@@ -112,6 +111,27 @@ TEST(EngineRegistryTest, ExactFamilyEnginesAgreeThroughTheRegistry) {
     ASSERT_OK_AND_ASSIGN(bool has_victoria,
                          engine->Contains(query.value(), {1}));
     EXPECT_EQ(has_victoria, expected.Contains({1}));
+  }
+}
+
+TEST(EngineRegistryTest, EveryEngineRejectsInvalidCandidates) {
+  // A wrong arity or a constant the database does not have is an
+  // InvalidArgument from every registered engine — never an answer, and
+  // never a read past the end of a mapping.
+  for (const std::string& name : EngineRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    auto lb = std::make_unique<CwDatabase>();
+    lb->AddKnownConstant("a");
+    lb->AddUnknownConstant("u");
+    ASSERT_OK(lb->AddFact("P", {"a"}));
+    auto query = ParseQuery(lb->mutable_vocab(), "(x) . P(x)");
+    ASSERT_TRUE(query.ok()) << query.status();
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> engine,
+                         EngineRegistry::Global().Create(name, lb.get()));
+    EXPECT_EQ(engine->Contains(query.value(), {0, 0}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine->Contains(query.value(), {1000}).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
@@ -134,7 +154,7 @@ TEST(EngineRegistryTest, ApproxEngineIsSoundThroughTheRegistry) {
 }
 
 TEST(EngineRegistryTest, PossibleAnswerThroughTheRegistry) {
-  for (const char* name : {"exact", "parallel-exact", "ra-exact"}) {
+  for (const char* name : {"brute", "batched-exact", "exact"}) {
     SCOPED_TRACE(name);
     auto lb = MurderDb();
     auto query = ParseQuery(lb->mutable_vocab(), "(x) . MURDERER(x)");

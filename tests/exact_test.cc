@@ -5,7 +5,6 @@
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
 #include "lqdb/exact/ra_exact.h"
 #include "lqdb/logic/parser.h"
 #include "lqdb/logic/printer.h"
@@ -422,9 +421,9 @@ TEST(CandidateSpaceTest, ConstantFreeDatabaseFailsCleanlyOnAllEngines) {
   EXPECT_EQ(brute.Contains(boolean, {}).status().code(),
             StatusCode::kFailedPrecondition);
 
-  ParallelExactOptions options;
+  ExactOptions options;
   options.threads = 2;
-  ParallelExactEvaluator parallel(&lb, options);
+  ExactEvaluator parallel(&lb, options);
   EXPECT_EQ(parallel.Answer(q).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(parallel.PossibleAnswer(q).status().code(),
@@ -432,7 +431,7 @@ TEST(CandidateSpaceTest, ConstantFreeDatabaseFailsCleanlyOnAllEngines) {
   EXPECT_EQ(parallel.Contains(boolean, {}).status().code(),
             StatusCode::kFailedPrecondition);
 
-  // ra-exact checks the precondition before compiling: the compiled plan's
+  // The compiled engine checks the precondition before compiling: the plan's
   // cardinality stats and the enumeration both assume a nonempty `C`.
   RaExactEvaluator ra(&lb);
   EXPECT_EQ(ra.Answer(q).status().code(), StatusCode::kFailedPrecondition);

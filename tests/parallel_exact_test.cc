@@ -1,7 +1,9 @@
-/// ParallelExactEvaluator: determinism across thread counts, agreement with
-/// the sequential Theorem 1 engine, global `max_mappings` accounting, and
-/// validity of reported counterexamples/witnesses (which may legitimately
-/// differ between runs — only the *answers* are deterministic).
+/// The Theorem 1 sweep at `ExactOptions::threads` ≠ 1 (the work-stealing
+/// walk): determinism across thread counts, agreement with the in-order
+/// walk, global `max_mappings` accounting, and validity of reported
+/// counterexamples/witnesses (which may legitimately differ between runs —
+/// only the *answers* are deterministic). Run against the Tarskian
+/// `ExactEvaluator`; the differential suite covers the compiled check.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +15,6 @@
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/exact/exact.h"
-#include "lqdb/exact/parallel.h"
 #include "lqdb/logic/parser.h"
 #include "tests/testing.h"
 
@@ -25,8 +26,8 @@ using testing::RandomDbParams;
 using testing::RandomFormulaParams;
 using testing::RandomQuery;
 
-ParallelExactOptions WithThreads(int threads) {
-  ParallelExactOptions options;
+ExactOptions WithThreads(int threads) {
+  ExactOptions options;
   options.threads = threads;
   return options;
 }
@@ -48,7 +49,7 @@ TEST(ParallelExactTest, AnswersIdenticalAcross1And2And8Threads) {
 
     for (int threads : {1, 2, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      ParallelExactEvaluator parallel(lb.get(), WithThreads(threads));
+      ExactEvaluator parallel(lb.get(), WithThreads(threads));
       EXPECT_EQ(parallel.threads(), threads);
 
       auto answer = parallel.Answer(query);
@@ -78,7 +79,7 @@ TEST(ParallelExactTest, ContainsAgreesWithSequentialPerCandidate) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
 
     ExactEvaluator sequential(lb.get());
-    ParallelExactEvaluator parallel(lb.get(), WithThreads(4));
+    ExactEvaluator parallel(lb.get(), WithThreads(4));
     const ConstId n = static_cast<ConstId>(lb->num_constants());
     for (ConstId c = 0; c < n; ++c) {
       Tuple candidate = {c};
@@ -99,7 +100,7 @@ TEST(ParallelExactTest, ContainsAgreesWithSequentialPerCandidate) {
 }
 
 TEST(ParallelExactTest, CounterexamplesAreGenuine) {
-  // Which counterexample the parallel engine reports is scheduling
+  // Which counterexample the work-stealing walk reports is scheduling
   // dependent, so do not compare mappings — *verify* them: the reported h
   // must respect the axioms and falsify the query on its image database.
   auto lb = std::make_unique<CwDatabase>();
@@ -111,7 +112,7 @@ TEST(ParallelExactTest, CounterexamplesAreGenuine) {
   auto query = ParseQuery(lb->mutable_vocab(), "(x) . !MURDERER(x)");
   ASSERT_TRUE(query.ok()) << query.status();
 
-  ParallelExactEvaluator parallel(lb.get(), WithThreads(4));
+  ExactEvaluator parallel(lb.get(), WithThreads(4));
   // Disraeli is not provably innocent: the mapping sending Jack to
   // Disraeli falsifies !MURDERER(Disraeli).
   std::optional<Counterexample> counterexample;
@@ -172,17 +173,17 @@ TEST(ParallelExactTest, MaxMappingsIsAccountedGlobally) {
   auto query = ParseQuery(lb->mutable_vocab(), "(x) . P(x)");
   ASSERT_TRUE(query.ok()) << query.status();
 
-  ParallelExactOptions options = WithThreads(4);
-  options.base.max_mappings = 10;
-  ParallelExactEvaluator parallel(lb.get(), options);
+  ExactOptions options = WithThreads(4);
+  options.max_mappings = 10;
+  ExactEvaluator parallel(lb.get(), options);
   auto answer = parallel.Answer(query.value());
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted)
       << answer.status();
 
   // A sufficient budget succeeds and counts the full space.
-  options.base.max_mappings = 1000;
-  ParallelExactEvaluator roomy(lb.get(), options);
+  options.max_mappings = 1000;
+  ExactEvaluator roomy(lb.get(), options);
   auto ok_answer = roomy.Answer(query.value());
   ASSERT_TRUE(ok_answer.ok()) << ok_answer.status();
 }
@@ -190,7 +191,7 @@ TEST(ParallelExactTest, MaxMappingsIsAccountedGlobally) {
 TEST(ParallelExactTest, ZeroThreadsMeansHardwareConcurrency) {
   auto lb = std::make_unique<CwDatabase>();
   lb->AddUnknownConstant("U0");
-  ParallelExactEvaluator parallel(lb.get(), WithThreads(0));
+  ExactEvaluator parallel(lb.get(), WithThreads(0));
   EXPECT_GE(parallel.threads(), 1);
 }
 
@@ -216,9 +217,9 @@ TEST(ParallelExactTest, WorkStealingSpreadsASkewedSpaceAcrossAllWorkers) {
   ASSERT_TRUE(expected.ok()) << expected.status();
   EXPECT_EQ(expected.value().size(), 10u);
 
-  ParallelExactOptions options = WithThreads(8);
+  ExactOptions options = WithThreads(8);
   options.steal_chunk = 16;
-  ParallelExactEvaluator parallel(lb.get(), options);
+  ExactEvaluator parallel(lb.get(), options);
 
   // Every attempt must compute the exact answer over the exact mapping
   // count; whether all 8 workers retire a range additionally depends on the
@@ -250,7 +251,7 @@ TEST(ParallelExactTest, WorkStealingSpreadsASkewedSpaceAcrossAllWorkers) {
 
 TEST(ParallelExactTest, FullSweepCountsMatchSequential) {
   // A positive query with a nonempty answer never early-exits, so the
-  // parallel engine must examine *exactly* the canonical-mapping count.
+  // sweep must examine *exactly* the canonical-mapping count.
   auto lb = std::make_unique<CwDatabase>();
   for (int i = 0; i < 5; ++i) {
     lb->AddUnknownConstant("U" + std::to_string(i));
@@ -265,7 +266,7 @@ TEST(ParallelExactTest, FullSweepCountsMatchSequential) {
   const uint64_t space = CountCanonicalMappings(*lb);  // B(5) = 52
   ASSERT_EQ(space, 52u);
   for (int threads : {1, 2, 8}) {
-    ParallelExactEvaluator parallel(lb.get(), WithThreads(threads));
+    ExactEvaluator parallel(lb.get(), WithThreads(threads));
     auto answer = parallel.Answer(query.value());
     ASSERT_TRUE(answer.ok()) << answer.status();
     EXPECT_EQ(answer.value().size(), 5u);

@@ -79,22 +79,22 @@ TEST(PreparedCacheTest, SecondPrepareHitsAndAnswersAreIdentical) {
 TEST(PreparedCacheTest, HandlesAreScopedByEngine) {
   auto lb = MurderDb();
   Service service(lb.get());
-  SessionOptions ra;
-  ra.engine = "ra-exact";
+  SessionOptions batched_options;
+  batched_options.engine = "batched-exact";
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> exact,
                        service.OpenSession());
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> raexact,
-                       service.OpenSession(ra));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> batched,
+                       service.OpenSession(batched_options));
 
   const std::string text = "(x) . !MURDERER(x)";
   ASSERT_OK_AND_ASSIGN(PreparedInfo a, exact->Prepare(text));
-  ASSERT_OK_AND_ASSIGN(PreparedInfo b, raexact->Prepare(text));
+  ASSERT_OK_AND_ASSIGN(PreparedInfo b, batched->Prepare(text));
   EXPECT_FALSE(b.cache_hit);  // separate cache entry per engine
   EXPECT_NE(a.handle, b.handle);
 
-  ASSERT_OK_AND_ASSIGN(Relation ra_answer, raexact->Execute(b.handle));
+  ASSERT_OK_AND_ASSIGN(Relation batched_answer, batched->Execute(b.handle));
   ASSERT_OK_AND_ASSIGN(Relation exact_answer, exact->Execute(a.handle));
-  EXPECT_TRUE(ra_answer == exact_answer);
+  EXPECT_TRUE(batched_answer == exact_answer);
 }
 
 TEST(ServiceTest, UnknownEngineFailsAtOpenAndBadHandleAtExecute) {
@@ -255,9 +255,13 @@ TEST(ServiceTest, MutatingApproxEngineRunsExclusively) {
 TEST(ServiceTest, ConcurrentSessionsMatchSequentialAnswers) {
   auto lb = MurderDb();
   Service service(lb.get());
-  const std::vector<std::string> engines = {
-      "exact",          "ra-exact", "parallel-exact", "approx",
-      "exact",          "ra-exact", "physical",       "brute"};
+  struct Spec {
+    std::string engine;
+    int threads;
+  };
+  const std::vector<Spec> engines = {
+      {"exact", 1}, {"batched-exact", 1}, {"exact", 2},    {"approx", 1},
+      {"exact", 1}, {"batched-exact", 2}, {"physical", 1}, {"brute", 1}};
   const std::vector<std::string> texts = {"(x) . !MURDERER(x)",
                                           "(x) . MURDERER(x)"};
 
@@ -266,10 +270,10 @@ TEST(ServiceTest, ConcurrentSessionsMatchSequentialAnswers) {
   // pure cache hits.
   std::vector<std::vector<Relation>> expected;
   std::vector<std::vector<PreparedHandle>> handles;
-  for (const std::string& engine : engines) {
+  for (const Spec& spec : engines) {
     SessionOptions opts;
-    opts.engine = engine;
-    if (engine == "parallel-exact") opts.engine_options.threads = 2;
+    opts.engine = spec.engine;
+    opts.engine_options.exact.threads = spec.threads;
     ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
                          service.OpenSession(opts));
     std::vector<Relation> answers;
@@ -290,8 +294,8 @@ TEST(ServiceTest, ConcurrentSessionsMatchSequentialAnswers) {
   for (size_t i = 0; i < engines.size(); ++i) {
     threads.emplace_back([&, i] {
       SessionOptions opts;
-      opts.engine = engines[i];
-      if (engines[i] == "parallel-exact") opts.engine_options.threads = 2;
+      opts.engine = engines[i].engine;
+      opts.engine_options.exact.threads = engines[i].threads;
       Result<std::shared_ptr<Session>> session = service.OpenSession(opts);
       if (!session.ok()) {
         mismatches.fetch_add(1);
@@ -310,7 +314,7 @@ TEST(ServiceTest, ConcurrentSessionsMatchSequentialAnswers) {
 
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cached_queries,
-            texts.size() * 6u);  // 6 distinct engines prepared
+            texts.size() * 5u);  // 5 distinct engines prepared
   EXPECT_GE(stats.executions,
             engines.size() * texts.size() * (kRounds + 1u));
 }

@@ -115,18 +115,17 @@ fact MURDERER(Jack)
 known Victoria
 distinct Jack Victoria
 engines
-set engine parallel-exact
+set engine batched-exact
 set threads 2
 query (x) . !MURDERER(x)
 set engine approx
 query (x) . !MURDERER(x)
-set engine ra-exact
+set engine exact
 query (x) . !MURDERER(x)
 )");
   // `engines` lists every builtin with capability flags.
   for (const char* name :
-       {"brute", "exact", "parallel-exact", "ra-exact", "approx",
-        "physical"}) {
+       {"brute", "batched-exact", "exact", "approx", "physical"}) {
     EXPECT_NE(out.find(name), std::string::npos) << out;
   }
   // All three selected engines clear exactly Victoria.
@@ -152,7 +151,7 @@ explain exists2 S/1. exists x. S(x)
   EXPECT_NE(out.find("unique"), std::string::npos) << out;
   EXPECT_NE(out.find("SQL:"), std::string::npos) << out;
   EXPECT_NE(out.find("SELECT"), std::string::npos) << out;
-  // The second-order query reports the ra-exact fallback instead.
+  // The second-order query reports the exact engine's fallback instead.
   EXPECT_NE(out.find("falls back to the batched evaluator"),
             std::string::npos)
       << out;
@@ -174,7 +173,7 @@ set flux_capacitor 11
   }
   EXPECT_EQ(errors, 4) << out;
   // The unknown-engine error names the registered engines.
-  EXPECT_NE(out.find("parallel-exact"), std::string::npos) << out;
+  EXPECT_NE(out.find("batched-exact"), std::string::npos) << out;
 }
 
 TEST(ShellTest, SetRejectsTrailingGarbage) {
@@ -204,8 +203,8 @@ engines
 
 TEST(ShellTest, ParallelExactAgreesInTheShell) {
   // The same Theorem 1 query through 1, 2 and 4 threads — answers must be
-  // identical (the shell upgrades `exact` to parallel-exact when threads
-  // != 1).
+  // identical (`set threads` fans the exact engine's sweep across
+  // workers).
   std::string out = RunShellScript(R"(unknown Jack
 unknown Nemo
 fact MURDERER(Jack)
@@ -260,7 +259,7 @@ known Victoria
 distinct Jack Victoria
 session
 query (x) . !MURDERER(x)
-session new ra-exact
+session new batched-exact
 query (x) . !MURDERER(x)
 session
 session use 0
@@ -270,12 +269,12 @@ stats
   EXPECT_EQ(out.find("error:"), std::string::npos) << out;
   // Before any query there are no sessions; afterwards both engines list.
   EXPECT_NE(out.find("no sessions"), std::string::npos) << out;
-  EXPECT_NE(out.find("session #1 (ra-exact) opened and selected"),
+  EXPECT_NE(out.find("session #1 (batched-exact) opened and selected"),
             std::string::npos)
       << out;
   EXPECT_NE(out.find("session #0 (exact) selected"), std::string::npos)
       << out;
-  // All three queries (exact, ra-exact, exact again) agree.
+  // All three queries (exact, batched-exact, exact again) agree.
   size_t pos = 0;
   int hits = 0;
   while ((pos = out.find("{(Victoria)}", pos)) != std::string::npos) {

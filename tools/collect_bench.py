@@ -96,7 +96,7 @@ def main() -> int:
     print(f"wrote {out_path}: {len(merged['suites'])} suites, "
           f"{total} benchmark entries")
 
-    print_ra_vs_exact(merged)
+    print_exact_vs_batched(merged)
     print_e11_reuse(merged)
     if args.diff is not None:
         print_diff(pathlib.Path(args.diff), merged)
@@ -118,32 +118,33 @@ def snapshot_times(snapshot: dict) -> dict:
     return out
 
 
-def print_ra_vs_exact(merged: dict) -> None:
-    """Pairs every ".../ra-exact..." row with its ".../exact..." partner
-    (substring replacement "ra-exact" -> "exact") inside this snapshot and
-    prints the compiled-plan speedup — the benches emit pairable names
-    ("BM_TheoremOne/exact" vs "BM_TheoremOne/ra-exact") for exactly this.
+def print_exact_vs_batched(merged: dict) -> None:
+    """Pairs every ".../exact..." row with its ".../batched-exact..."
+    partner (substring replacement "/exact" -> "/batched-exact") inside
+    this snapshot and prints the compiled-plan speedup — the benches emit
+    pairable names ("BM_TheoremOne/batched-exact" vs "BM_TheoremOne/exact")
+    for exactly this.
     """
     times = snapshot_times(merged)
     pairs = []
     for (suite, name) in sorted(times):
-        if "ra-exact" not in name:
+        if "/exact" not in name:
             continue
-        partner = (suite, name.replace("ra-exact", "exact"))
+        partner = (suite, name.replace("/exact", "/batched-exact", 1))
         if partner in times:
             pairs.append(((suite, name), times[(suite, name)], times[partner]))
     if not pairs:
         return
 
-    rows = [("suite", "benchmark", "exact", "ra-exact", "speedup")]
-    for (suite, name), (ra_t, ra_unit), (exact_t, exact_unit) in pairs:
-        speedup = exact_t / ra_t if ra_t > 0 and ra_unit == exact_unit else None
+    rows = [("suite", "benchmark", "batched-exact", "exact", "speedup")]
+    for (suite, name), (ex_t, ex_unit), (b_t, b_unit) in pairs:
+        speedup = b_t / ex_t if ex_t > 0 and ex_unit == b_unit else None
         rows.append((suite, name,
-                     f"{exact_t:.3f} {exact_unit}", f"{ra_t:.3f} {ra_unit}",
+                     f"{b_t:.3f} {b_unit}", f"{ex_t:.3f} {ex_unit}",
                      f"{speedup:.2f}x" if speedup is not None else "n/a"))
     widths = [max(len(row[col]) for row in rows) for col in range(5)]
-    print("\nra-exact vs exact within this snapshot "
-          "(exact/ra-exact real_time; >1 means the compiled plan wins):")
+    print("\nexact vs batched-exact within this snapshot "
+          "(batched-exact/exact real_time; >1 means the compiled plan wins):")
     for row in rows:
         print("  " + "  ".join(cell.ljust(width)
                                for cell, width in zip(row, widths)).rstrip())

@@ -20,6 +20,15 @@ raw-mutex
     src/lqdb outside util/annotations.h. All synchronization must go
     through the annotated wrappers so Clang's -Wthread-safety can see it.
 
+one-sweep-loop
+    A call to ``ForEachCanonicalMapping``, ``ForEachCanonicalMappingChunk``,
+    ``ForEachCanonicalMappingInRange`` or ``ForEachMapping`` inside
+    src/lqdb outside the enumerators themselves (cwdb/mapping.{h,cc}) and
+    the one Theorem 1 sweep driver (exact/sweep.cc). The per-mapping loop
+    body was once copied eleven times across the exact engines and the
+    copies drifted apart; engines pick a mapping source and a per-image
+    check and call ``RunSweep`` instead.
+
 Suppression: append ``// lint:allow(<rule>)`` to the offending line.
 
 Exit status: 0 when clean, 1 when any finding fires, 2 on usage errors.
@@ -35,6 +44,13 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INTEGRAL = r"(?:int|long|short|unsigned|u?int(?:8|16|32|64)_t|size_t|ssize_t|ptrdiff_t)"
+
+# The only files under src/lqdb that may walk the mapping space.
+SWEEP_LOOP_HOMES = (
+    "src/lqdb/cwdb/mapping.h",
+    "src/lqdb/cwdb/mapping.cc",
+    "src/lqdb/exact/sweep.cc",
+)
 
 RULES = [
     {
@@ -69,6 +85,17 @@ RULES = [
                    "wrappers in lqdb/util/annotations.h)",
         "applies": lambda rel: (rel.startswith("src/lqdb/")
                                 and rel != "src/lqdb/util/annotations.h"),
+    },
+    {
+        "name": "one-sweep-loop",
+        "regex": re.compile(
+            r"\bForEach(?:CanonicalMapping(?:Chunk|InRange)?|Mapping)\s*\("
+        ),
+        "message": "Theorem 1 mapping loop outside the sweep driver (pick a "
+                   "source and a check and call RunSweep, "
+                   "lqdb/exact/sweep.h)",
+        "applies": lambda rel: (rel.startswith("src/lqdb/")
+                                and rel not in SWEEP_LOOP_HOMES),
     },
 ]
 

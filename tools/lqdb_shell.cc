@@ -83,7 +83,8 @@ constexpr const char* kHelp = R"(commands:
                          memo and result-cache hit/miss/invalidation)
   engines                list registered engines and their capabilities
   set engine NAME        select the engine used by `query`
-  set threads N          worker threads for parallel engines (0 = hardware)
+  set threads N          worker threads of the exact engines' Theorem 1
+                         sweep (0 = hardware; answers are identical)
   set max_mappings N     Theorem 1 enumeration budget per query
   set join_cap N         DP join-order cap (0 = always greedy)
   set memo on|off        kernel-verdict memoization and the cross-query
@@ -99,9 +100,7 @@ query syntax:  (x, y) . exists z. R(x, z) & !S(z, y)   or a sentence)";
 
 class Shell {
  public:
-  Shell() : lb_(std::make_unique<CwDatabase>()) {
-    options_.threads = 1;  // sequential by default; `set threads` overrides
-  }
+  Shell() : lb_(std::make_unique<CwDatabase>()) {}
 
   /// Returns false when the shell should exit.
   bool Handle(const std::string& line) {
@@ -211,7 +210,8 @@ class Shell {
                   caps->supports_possible ? "yes" : "no",
                   name == engine_name_ ? "   <- selected" : "");
     }
-    std::printf("threads: %d   max_mappings: %llu\n", options_.threads,
+    std::printf("threads: %d   max_mappings: %llu\n",
+                options_.exact.threads,
                 static_cast<unsigned long long>(options_.exact.max_mappings));
   }
 
@@ -234,9 +234,9 @@ class Shell {
             "set threads expects a nonnegative integer (0 = hardware)"));
         return;
       }
-      options_.threads = static_cast<int>(threads);
+      options_.exact.threads = static_cast<int>(threads);
       current_ = SIZE_MAX;
-      std::printf("threads = %d\n", options_.threads);
+      std::printf("threads = %d\n", options_.exact.threads);
     } else if (key == "max_mappings") {
       unsigned long long max = 0;
       if (!ParseStrictUint(value, &max) || max == 0) {
@@ -277,23 +277,21 @@ class Shell {
     }
   }
 
-  /// The registry engine a shell command denotes: the per-command engines
-  /// keep their historical names, `query` uses the selected one. A thread
-  /// count other than 1 upgrades `exact`/`possible` to the parallel engine
-  /// — same answers, fanned across workers.
+  /// The registry engine a shell command denotes: `query` uses the
+  /// selected one, `exact` and `possible` the compiled "exact" engine (its
+  /// sweep fans across `set threads` workers), and the other commands the
+  /// engine of their own name.
   std::string EngineFor(const std::string& command) const {
     if (command == "query") return engine_name_;
-    if (command == "exact" || command == "possible") {
-      return options_.threads == 1 ? "exact" : "parallel-exact";
-    }
-    return command;  // "approx", "physical"
+    if (command == "possible") return "exact";
+    return command;  // "exact", "approx", "physical"
   }
 
-  /// `explain`: how the ra-exact engine would evaluate the query — the
+  /// `explain`: how the exact engine would evaluate the query — the
   /// compiled relational-algebra plan (join-ordered against the loaded
   /// database's cardinalities), its DAG size, and its SQL rendering.
   /// Queries outside the compilable first-order fragment report the
-  /// fallback ra-exact takes instead.
+  /// fallback the exact engine takes instead.
   void Explain(const std::string& text) {
     auto query = ParseQuery(lb_->mutable_vocab(), text);
     if (!query.ok()) return Report(query.status());
@@ -325,7 +323,7 @@ class Shell {
                 plan.value()->NumUniqueNodes(), plan.value()->NumNodes());
     // The static plan validator's verdict (see src/lqdb/ra/validate.h) on
     // the compiled plan and on its semijoin-reduced form — the shapes the
-    // ra-exact engine actually executes.
+    // exact engine actually executes.
     PlanValidateOptions vopts;
     vopts.vocab = &lb_->vocab();
     const Status verdict = ValidatePlan(plan.value(), vopts);
@@ -428,7 +426,7 @@ class Shell {
         std::printf(
             "%c #%zu %-16s threads=%d prepares=%llu executions=%llu\n",
             i == current_ ? '*' : ' ', i, s.options().engine.c_str(),
-            s.options().engine_options.threads, Ull(s.prepares()),
+            s.options().engine_options.exact.threads, Ull(s.prepares()),
             Ull(s.executions()));
       }
     } else if (sub == "new") {
@@ -565,13 +563,14 @@ class Shell {
 
   /// The session a command routes to: an existing one matching `engine`
   /// and the shell's current knobs, else a newly opened one. Sessions are
-  /// kept (and listed by `session`) so an engine's state — a parallel
-  /// engine's thread pool, warmed executor scratch — survives across
+  /// kept (and listed by `session`) so an engine's state — a
+  /// multi-threaded sweep's pool, warmed executor scratch — survives across
   /// commands the way the old per-shell engine cache did.
   Session* SessionFor(const std::string& engine) {
     for (size_t i = 0; i < sessions_.size(); ++i) {
       const SessionOptions& o = sessions_[i]->options();
-      if (o.engine == engine && o.engine_options.threads == options_.threads &&
+      if (o.engine == engine &&
+          o.engine_options.exact.threads == options_.exact.threads &&
           o.use_result_cache == use_result_cache_ &&
           o.engine_options.exact.memo == options_.exact.memo &&
           o.engine_options.exact.ra_dp_join_cap ==
