@@ -213,13 +213,6 @@ std::vector<MappingRange> SplitCanonicalMappingSpace(const CwDatabase& lb,
   return ranges;
 }
 
-uint64_t ForEachCanonicalMappingInRange(const CwDatabase& lb,
-                                        const MappingRange& range,
-                                        const MappingVisitor& visit) {
-  PartitionWalker walker(lb, &visit);
-  return walker.RunFrom(range.rgs);
-}
-
 uint64_t ForEachCanonicalMappingChunk(const CwDatabase& lb,
                                       const MappingRange& range,
                                       uint64_t budget,

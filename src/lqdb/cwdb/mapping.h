@@ -55,13 +55,6 @@ struct MappingRange {
 std::vector<MappingRange> SplitCanonicalMappingSpace(const CwDatabase& lb,
                                                      size_t min_ranges);
 
-/// Enumerates the canonical representatives of one range (see
-/// `ForEachCanonicalMapping` for what "canonical" means). Returns the
-/// number of mappings visited in the range.
-uint64_t ForEachCanonicalMappingInRange(const CwDatabase& lb,
-                                        const MappingRange& range,
-                                        const MappingVisitor& visit);
-
 /// Chunked enumeration of one range for work-stealing schedulers: visits at
 /// most `budget` partitions of `range` (0 = unlimited), then hands the
 /// *unvisited remainder* of the range back by appending pairwise-disjoint
@@ -73,7 +66,8 @@ uint64_t ForEachCanonicalMappingInRange(const CwDatabase& lb,
 /// number visited in this chunk; the remainder is left untouched when the
 /// range was exhausted within budget, and also when the visitor stopped the
 /// walk (an early exit abandons the whole enumeration, so there is nothing
-/// to donate).
+/// to donate). With `budget` 0 the whole range is walked, and `remainder`
+/// may be null.
 uint64_t ForEachCanonicalMappingChunk(const CwDatabase& lb,
                                       const MappingRange& range,
                                       uint64_t budget,

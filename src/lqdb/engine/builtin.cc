@@ -164,11 +164,12 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     });
     // "exact" is the compiled-RA engine: same Theorem 1 semantics, same
     // answers bit-for-bit (the differential suite pins this on every
-    // instance), but the per-image check is a cached relational-algebra
-    // plan instead of the batched Tarskian sweep — measured 1.5–10x faster
-    // on the E10 large-world join rows. Queries outside the compilable
-    // first-order fragment take the Tarskian check, so coverage is
-    // unchanged.
+    // instance), but the per-image check is the binding's semijoin-reduced
+    // relational-algebra plan (compiled at prepare time, or for the one
+    // call) instead of the batched Tarskian sweep — measured 1.5–10x
+    // faster on the E10 large-world join rows. Queries outside the
+    // compilable first-order fragment take the Tarskian check, so coverage
+    // is unchanged.
     register_exact("exact", [](CwDatabase* lb, const EngineOptions& options) {
       return std::make_unique<RaExactEvaluator>(lb, options.exact);
     });

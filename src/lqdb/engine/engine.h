@@ -152,7 +152,8 @@ class EngineRegistry {
 ///                       evaluator (the reference the differential suite
 ///                       compares against)
 ///   - "exact"         — canonical enumeration with the per-image check
-///                       compiled to a cached relational-algebra plan read
+///                       compiled once, by the query's binding, to a
+///                       semijoin-reduced relational-algebra plan read
 ///                       through each mapping (first-order fragment;
 ///                       second-order queries take the Tarskian check)
 ///   - "approx"        — the §5 sound polynomial approximation

@@ -4,8 +4,9 @@
 #include <set>
 #include <utility>
 
+#include "lqdb/cwdb/cw_database.h"
 #include "lqdb/logic/formula.h"
-#include "lqdb/ra/compiler.h"
+#include "lqdb/ra/validate.h"
 
 namespace lqdb {
 
@@ -52,24 +53,39 @@ Status BoundQuery::CompileRaPlan(const Vocabulary& vocab,
   ra_attempted_ = true;
   RaCompiler compiler(&vocab, stats == nullptr ? RaCardinalities() : *stats);
   Result<PlanPtr> plan = compiler.Compile(*query_);
-  if (plan.ok()) {
-    ra_plan_ = std::move(plan).value();
-  } else {
-    ra_status_ = plan.status();
+  if (!plan.ok()) return ra_status_ = plan.status();
+  Result<ReducedPlan> reduced = SemijoinReduce(*plan);
+  if (!reduced.ok()) return ra_status_ = reduced.status();
+#ifndef NDEBUG
+  // A plan the compiler or the reduction produced must pass the static
+  // validator; a finding is a library bug, not a user error. The
+  // differential corpus validates the same plans in every build mode.
+  PlanValidateOptions vopts;
+  vopts.vocab = &vocab;
+  Status verdict = ValidatePlan(*plan, vopts);
+  if (verdict.ok()) {
+    vopts.param = reduced->param.get();
+    verdict = ValidatePlan(reduced->plan, vopts);
   }
+  if (!verdict.ok()) {
+    return ra_status_ = Status::Internal(
+               "compiled plan failed static validation: " + verdict.message());
+  }
+#endif
+  ra_plan_ = std::move(plan).value();
+  ra_reduced_ = std::move(reduced).value();
   return ra_status_;
 }
 
-void BoundQuery::set_ra_plan(PlanPtr plan) {
-  ra_plan_ = std::move(plan);
-  ra_attempted_ = true;
-  ra_status_ = Status::OK();
-}
-
-void BoundQuery::set_ra_uncompilable(Status why) {
-  ra_plan_ = nullptr;
-  ra_attempted_ = true;
-  ra_status_ = std::move(why);
+RaCardinalities RaCardinalitiesFor(const CwDatabase& lb, size_t dp_join_cap) {
+  RaCardinalities stats;
+  stats.domain_size = static_cast<double>(lb.num_constants());
+  stats.relation_sizes.assign(lb.vocab().num_predicates(), 0.0);
+  for (PredId p : lb.PredicatesWithFacts()) {
+    stats.relation_sizes[p] = static_cast<double>(lb.facts(p).size());
+  }
+  stats.dp_join_cap = dp_join_cap;
+  return stats;
 }
 
 }  // namespace lqdb

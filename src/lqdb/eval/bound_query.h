@@ -4,12 +4,21 @@
 #include <vector>
 
 #include "lqdb/logic/query.h"
+#include "lqdb/ra/compiler.h"
 #include "lqdb/ra/plan.h"
+#include "lqdb/ra/semijoin.h"
 #include "lqdb/util/result.h"
 
 namespace lqdb {
 
-struct RaCardinalities;  // ra/compiler.h
+class CwDatabase;
+
+/// Join-ordering statistics for compiling a query against `lb`: image
+/// relations are h-images of the fact sets and the image domain is `h(C)`,
+/// so the fact counts and `|C|` upper-bound (and under the identity mapping
+/// equal) the per-image cardinalities the plan will see. `dp_join_cap` is
+/// the caller's `ExactOptions::ra_dp_join_cap`.
+RaCardinalities RaCardinalitiesFor(const CwDatabase& lb, size_t dp_join_cap);
 
 /// A query pre-resolved for repeated evaluation. `Evaluator::SatisfiesWith`
 /// redoes three pieces of work on every call that depend only on the query,
@@ -22,6 +31,10 @@ struct RaCardinalities;  // ra/compiler.h
 /// candidate set against one image database with the residual per-candidate
 /// cost reduced to writing head values into the evaluator's flat
 /// environment and walking the formula.
+///
+/// The binding is also the one compiled form of the query: `CompileRaPlan`
+/// turns it into the `exact` engine's per-image check once, and the
+/// service's prepared statements carry that check to every session.
 ///
 /// Borrows the query; the query must outlive the binding.
 class BoundQuery {
@@ -52,30 +65,29 @@ class BoundQuery {
   /// relations.
   const std::vector<PredId>& predicates() const { return predicates_; }
 
-  /// Compiles the query to a relational-algebra plan over `vocab` (see
-  /// `RaCompiler`), caching the outcome in the binding: later calls return
-  /// the first status without recompiling. On failure — `Unimplemented`
-  /// for second-order bodies — `ra_plan()` stays null, and callers fall
-  /// back to the batched evaluator path. `stats` (optional) drives the
-  /// compiler's join ordering.
+  /// Compiles the query into the exact engine's per-image check, once:
+  /// the relational-algebra plan over `vocab` (see `RaCompiler`; `stats`,
+  /// when given, drives its join ordering) and its semijoin reduction.
+  /// Debug builds validate both plans (ra/validate.h). The outcome is
+  /// recorded in the binding, and later calls return it without
+  /// recompiling. A second-order body records `Unimplemented`, and the
+  /// exact engine takes the Tarskian check for it; a validator finding
+  /// records `Internal`, which the exact engine returns on every execution.
+  /// On failure `ra_plan()` stays null.
   Status CompileRaPlan(const Vocabulary& vocab,
                        const RaCardinalities* stats = nullptr);
-
-  /// Seeds the plan slot from an external cache; the plan must have been
-  /// compiled from this binding's query (same query identity).
-  void set_ra_plan(PlanPtr plan);
-
-  /// Marks the query as known non-compilable without paying for a compile
-  /// (the cached-failure twin of `set_ra_plan`).
-  void set_ra_uncompilable(Status why);
 
   /// The compiled plan; null when compilation has not run or failed.
   const PlanPtr& ra_plan() const { return ra_plan_; }
 
-  /// Whether a compilation outcome (success or cached failure) is recorded;
-  /// a prepared statement with `ra_attempted()` carries everything the
-  /// exact engine needs, so it can skip its own plan-cache lookup.
+  /// The semijoin reduction of `ra_plan()` — what the exact engine's sweep
+  /// executes per image, with the open candidates bound to its parameter
+  /// (null for an arity-0 query). Empty when `ra_plan()` is null.
+  const ReducedPlan& ra_reduced() const { return ra_reduced_; }
+
+  /// Whether `CompileRaPlan` has run, and the outcome it recorded.
   bool ra_attempted() const { return ra_attempted_; }
+  const Status& ra_status() const { return ra_status_; }
 
  private:
   explicit BoundQuery(const Query* query) : query_(query) {}
@@ -85,6 +97,7 @@ class BoundQuery {
   std::vector<PredId> so_predicates_;
   std::vector<PredId> predicates_;
   PlanPtr ra_plan_;
+  ReducedPlan ra_reduced_;
   bool ra_attempted_ = false;
   Status ra_status_;
 };

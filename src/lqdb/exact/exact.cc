@@ -58,7 +58,9 @@ Result<Relation> ExactEvaluator::Sweep(
     const BoundQuery& bound, const Tuple* candidate, bool possible,
     std::optional<Counterexample>* decisive) {
   LQDB_RETURN_IF_ERROR(lb_->Validate());
-  LQDB_ASSIGN_OR_RETURN(const ReducedPlan* plan, CompiledCheck(bound));
+  std::optional<BoundQuery> scratch;
+  LQDB_ASSIGN_OR_RETURN(const ReducedPlan* plan,
+                        CompiledCheck(bound, &scratch));
   const SweepSpec spec{lb_, &bound, plan, source_, pool_.get(),
                        possible, &options_};
   std::vector<Tuple> candidates =

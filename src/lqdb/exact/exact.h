@@ -169,8 +169,11 @@ class ExactEvaluator {
                  MappingSource source);
 
   /// The per-image check of a sweep over a binding: a semijoin-reduced
-  /// plan for the compiled check, or null for the Tarskian one.
-  virtual Result<const ReducedPlan*> CompiledCheck(const BoundQuery&) {
+  /// plan for the compiled check, or null for the Tarskian one. A check
+  /// built for this call alone lives in `*scratch`, which the sweep keeps
+  /// alive until it ends.
+  virtual Result<const ReducedPlan*> CompiledCheck(
+      const BoundQuery&, std::optional<BoundQuery>* /*scratch*/) {
     return static_cast<const ReducedPlan*>(nullptr);
   }
 

@@ -20,11 +20,13 @@ namespace lqdb {
 using PreparedHandle = uint64_t;
 
 /// A query prepared once and executed many times: the parsed `Query`
-/// pinned on the heap, its `BoundQuery` binding (which borrows the query by
-/// address, hence the pinning — a `PreparedQuery` is never copied or moved
-/// after `Make`), and, when the body is in the compilable first-order
-/// fragment, the RA plan cached inside the binding. Immutable after
-/// preparation, so any number of sessions may execute one concurrently.
+/// pinned on the heap and its `BoundQuery` binding (which borrows the query
+/// by address, hence the pinning — a `PreparedQuery` is never copied or
+/// moved after `Make`). The service compiles the binding at prepare time
+/// (`BoundQuery::CompileRaPlan`), so it carries the exact engine's one
+/// compiled form: the RA plan and its semijoin reduction, or the recorded
+/// reason there is none. Immutable after preparation, so any number of
+/// sessions may execute one concurrently and share that reduced plan.
 class PreparedQuery {
  public:
   /// Binds `query` in place. `text` is the source text; `engine` the engine

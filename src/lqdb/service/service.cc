@@ -3,30 +3,10 @@
 #include <string_view>
 #include <utility>
 
+#include "lqdb/eval/bound_query.h"
 #include "lqdb/logic/parser.h"
-#include "lqdb/ra/compiler.h"
 
 namespace lqdb {
-
-namespace {
-
-/// Join-ordering statistics for the prepare-time RA compile; mirrors the
-/// exact engine's view (image cardinalities are bounded by the logical
-/// database's fact counts and `|C|`). The session's join-order cap shapes
-/// the compiled plan, so it must flow into the prepare-time compile just
-/// as it does into the exact engine's own plan cache.
-RaCardinalities StatsFor(const CwDatabase& lb, const EngineOptions& options) {
-  RaCardinalities stats;
-  stats.domain_size = static_cast<double>(lb.num_constants());
-  stats.relation_sizes.assign(lb.vocab().num_predicates(), 0.0);
-  for (PredId p : lb.PredicatesWithFacts()) {
-    stats.relation_sizes[p] = static_cast<double>(lb.facts(p).size());
-  }
-  stats.dp_join_cap = options.exact.ra_dp_join_cap;
-  return stats;
-}
-
-}  // namespace
 
 std::string EngineOptionsFingerprint(const EngineOptions& options) {
   // Everything here either changes an answer outright (the approximation
@@ -176,12 +156,13 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
         entry,
         PreparedQuery::Make(text, engine, options_key, std::move(query)));
     // Compile once at prepare time regardless of engine: exact executes
-    // the plan, and the other engines ignore it. A failed compile (second
-    // order) is cached inside the binding as "use the fallback".
-    const RaCardinalities stats = StatsFor(*db_, engine_options);
-    Status compile = entry->mutable_bound()->CompileRaPlan(db_->vocab(),
-                                                           &stats);
-    (void)compile;
+    // the reduced plan, and the other engines ignore it. The outcome is
+    // recorded in the binding; a second-order body records "use the
+    // Tarskian check". The session's join-order cap shapes the plan, so it
+    // is part of the statement's options key.
+    const RaCardinalities stats =
+        RaCardinalitiesFor(*db_, engine_options.exact.ra_dp_join_cap);
+    (void)entry->mutable_bound()->CompileRaPlan(db_->vocab(), &stats);
   }
 
   bool inserted = false;

@@ -25,13 +25,12 @@
 
 #include "lqdb/approx/approx.h"
 #include "lqdb/engine/engine.h"
+#include "lqdb/eval/bound_query.h"
 #include "lqdb/exact/brute.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/exact/ra_exact.h"
 #include "lqdb/logic/classify.h"
 #include "lqdb/logic/printer.h"
-#include "lqdb/ra/compiler.h"
-#include "lqdb/ra/semijoin.h"
 #include "lqdb/ra/validate.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/service/service.h"
@@ -445,11 +444,13 @@ TEST(DifferentialTest, LargeProfileRaExactAgreesOnAllInstances) {
 
 /// The static-validation dimension: every query of the full differential
 /// corpus — the 268-instance pool plus the skewed and large profiles —
-/// compiles to a plan that passes `ValidatePlan` with zero findings, and
-/// so does its semijoin-reduced form (validated against the reduction's
-/// param node). This is the standing guarantee behind running the
-/// validator on every compiled plan in debug builds: the gate only helps
-/// if the honest compiler output never trips it.
+/// compiles, exactly as the `exact` engine compiles it
+/// (`BoundQuery::CompileRaPlan` with the logical database's statistics and
+/// the default join-order cap), to a plan that passes `ValidatePlan` with
+/// zero findings, and so does its semijoin-reduced form (validated against
+/// the reduction's param node). Debug builds run the same checks inside
+/// `CompileRaPlan`; this gate runs them in every build mode, and the gate
+/// only helps if the honest compiler output never trips it.
 TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
   struct Sweep {
     InstanceProfile profile;
@@ -469,15 +470,16 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
       SCOPED_TRACE(Describe(instance));
 
-      RaCompiler compiler(&instance.db->vocab());
-      ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(instance.query));
+      const RaCardinalities stats =
+          RaCardinalitiesFor(*instance.db, ExactOptions{}.ra_dp_join_cap);
+      ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(instance.query));
+      ASSERT_OK(bound.CompileRaPlan(instance.db->vocab(), &stats));
       PlanValidateOptions opts;
       opts.vocab = &instance.db->vocab();
-      EXPECT_OK(ValidatePlan(plan, opts));
+      EXPECT_OK(ValidatePlan(bound.ra_plan(), opts));
 
-      ASSERT_OK_AND_ASSIGN(ReducedPlan reduced, SemijoinReduce(plan));
-      opts.param = reduced.param.get();
-      EXPECT_OK(ValidatePlan(reduced.plan, opts));
+      opts.param = bound.ra_reduced().param.get();
+      EXPECT_OK(ValidatePlan(bound.ra_reduced().plan, opts));
     }
   }
   EXPECT_EQ(instances, 294u);

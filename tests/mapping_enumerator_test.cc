@@ -76,13 +76,15 @@ void CheckSplitsCoverSequential(const CwDatabase& lb) {
     std::set<ConstMapping> visited;
     uint64_t total = 0;
     for (const MappingRange& range : ranges) {
-      total += ForEachCanonicalMappingInRange(
-          lb, range, [&](const ConstMapping& h) {
+      total += ForEachCanonicalMappingChunk(
+          lb, range, /*budget=*/0,
+          [&](const ConstMapping& h) {
             EXPECT_TRUE(RespectsUniqueness(lb, h));
             EXPECT_TRUE(visited.insert(h).second)
                 << "ranges overlap (min_ranges=" << min_ranges << ")";
             return true;
-          });
+          },
+          nullptr);
     }
     EXPECT_EQ(total, sequential_count) << "min_ranges=" << min_ranges;
     EXPECT_EQ(visited, sequential) << "min_ranges=" << min_ranges;
@@ -123,11 +125,13 @@ TEST(MappingEnumeratorTest, FullySpecifiedHasOnlyIdentity) {
       SplitCanonicalMappingSpace(*lb, 16);
   uint64_t total = 0;
   for (const MappingRange& range : ranges) {
-    total += ForEachCanonicalMappingInRange(
-        *lb, range, [&](const ConstMapping& h) {
+    total += ForEachCanonicalMappingChunk(
+        *lb, range, /*budget=*/0,
+        [&](const ConstMapping& h) {
           EXPECT_EQ(h, IdentityMapping(lb->num_constants()));
           return true;
-        });
+        },
+        nullptr);
   }
   EXPECT_EQ(total, 1u);
 }
@@ -139,8 +143,9 @@ TEST(MappingEnumeratorTest, RangeWalkHonorsVisitorStop) {
   ASSERT_GE(ranges.size(), 4u);
   // Stop after the first visit of the first range: the returned count is
   // the number visited, not the range size.
-  uint64_t visited = ForEachCanonicalMappingInRange(
-      *lb, ranges[0], [&](const ConstMapping&) { return false; });
+  uint64_t visited = ForEachCanonicalMappingChunk(
+      *lb, ranges[0], /*budget=*/0,
+      [&](const ConstMapping&) { return false; }, nullptr);
   EXPECT_EQ(visited, 1u);
 }
 
@@ -206,8 +211,9 @@ TEST(MappingEnumeratorTest, ChunkBudgetBoundsTheVisitCount) {
   // The donated remainder covers exactly the other 42.
   uint64_t rest = 0;
   for (const MappingRange& range : remainder) {
-    rest += ForEachCanonicalMappingInRange(
-        *lb, range, [](const ConstMapping&) { return true; });
+    rest += ForEachCanonicalMappingChunk(
+        *lb, range, /*budget=*/0, [](const ConstMapping&) { return true; },
+        nullptr);
   }
   EXPECT_EQ(rest, 42u);
 }

@@ -385,7 +385,7 @@ TEST_F(RaTest, JoinOrderFollowsCardinalityEstimates) {
   EXPECT_EQ(plan2->child()->left()->pred(), r_);
 }
 
-TEST(RaExactEvaluatorTest, MatchesExactAndCachesPlans) {
+TEST(RaExactEvaluatorTest, MatchesExactAndRunsOneCompiledBindingRepeatedly) {
   CwDatabase lb;
   ASSERT_OK(lb.AddFact("TEACHES", {"Socrates", "Plato"}));
   lb.AddUnknownConstant("Mystery");
@@ -395,27 +395,36 @@ TEST(RaExactEvaluatorTest, MatchesExactAndCachesPlans) {
 
   ExactEvaluator exact(&lb);
   ASSERT_OK_AND_ASSIGN(Relation expected, exact.Answer(q));
+  ASSERT_OK_AND_ASSIGN(Relation possible_expected, exact.PossibleAnswer(q));
 
+  // A `Query`-taking call compiles its binding for that one call.
   RaExactEvaluator ra(&lb);
   ASSERT_OK_AND_ASSIGN(Relation got, ra.Answer(q));
   EXPECT_EQ(got, expected);
   EXPECT_TRUE(ra.last_used_ra());
   EXPECT_GE(ra.last_mappings_examined(), 1u);
-  EXPECT_EQ(ra.plan_cache_size(), 1u);
 
-  // Repeat evaluations (Answer and PossibleAnswer alike) reuse the cached
-  // plan instead of recompiling.
-  ASSERT_OK_AND_ASSIGN(Relation again, ra.Answer(q));
-  EXPECT_EQ(again, expected);
-  ASSERT_OK_AND_ASSIGN(Relation possible, ra.PossibleAnswer(q));
-  ASSERT_OK_AND_ASSIGN(Relation possible_exact, exact.PossibleAnswer(q));
-  EXPECT_EQ(possible, possible_exact);
-  EXPECT_EQ(ra.plan_cache_size(), 1u);
+  // One compiled binding — the prepared-statement path — serves repeated
+  // calls, certain and possible alike, through its reduced plan.
+  ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(q));
+  const RaCardinalities stats =
+      RaCardinalitiesFor(lb, ExactOptions{}.ra_dp_join_cap);
+  ASSERT_OK(bound.CompileRaPlan(lb.vocab(), &stats));
+  ASSERT_NE(bound.ra_plan(), nullptr);
+  ASSERT_NE(bound.ra_reduced().plan, nullptr);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(Relation again, ra.AnswerBound(bound));
+    EXPECT_EQ(again, expected);
+    EXPECT_TRUE(ra.last_used_ra());
+    ASSERT_OK_AND_ASSIGN(Relation possible, ra.PossibleAnswerBound(bound));
+    EXPECT_EQ(possible, possible_expected);
+    EXPECT_TRUE(ra.last_used_ra());
+  }
 
-  // A second query grows the cache.
   ASSERT_OK_AND_ASSIGN(Query q2, ParseQuery(vocab, "(x) . !TEACHES(x, x)"));
-  ASSERT_OK(ra.Answer(q2).status());
-  EXPECT_EQ(ra.plan_cache_size(), 2u);
+  ASSERT_OK_AND_ASSIGN(Relation got2, ra.Answer(q2));
+  ASSERT_OK_AND_ASSIGN(Relation expected2, exact.Answer(q2));
+  EXPECT_EQ(got2, expected2);
 }
 
 TEST(RaExactEvaluatorTest, SecondOrderQueriesFallBackToTheBatchedPath) {
@@ -433,12 +442,42 @@ TEST(RaExactEvaluatorTest, SecondOrderQueriesFallBackToTheBatchedPath) {
   ASSERT_OK_AND_ASSIGN(bool got, ra.Contains(q, {}));
   EXPECT_EQ(got, expected);
   EXPECT_FALSE(ra.last_used_ra());
-  // Uncompilable queries are cached too (as null plans): repeat calls skip
-  // recompilation and still take the fallback.
-  ASSERT_OK_AND_ASSIGN(bool again, ra.Contains(q, {}));
-  EXPECT_EQ(again, expected);
-  EXPECT_EQ(ra.plan_cache_size(), 1u);
+  // A binding whose compile recorded `Unimplemented` takes the fallback as
+  // it is, on every call.
+  ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(q));
+  EXPECT_EQ(bound.CompileRaPlan(lb.vocab()).code(),
+            StatusCode::kUnimplemented);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(Relation again, ra.AnswerBound(bound));
+    EXPECT_EQ(again.empty(), !expected);
+    EXPECT_FALSE(ra.last_used_ra());
+  }
 }
+
+#ifndef NDEBUG
+/// Debug builds validate both plans inside `CompileRaPlan`. A finding is a
+/// library bug: the binding records it as `Internal`, and the engine
+/// returns that status instead of running the plan or falling back.
+TEST(RaExactEvaluatorTest, ValidatorFindingIsTheBindingsInternalStatus) {
+  CwDatabase lb;
+  ASSERT_OK(lb.AddFact("P", {"A"}));
+  lb.AddUnknownConstant("U");
+  ASSERT_OK(ParseQuery(lb.mutable_vocab(), "(x) . P(x)").status());
+  const Vocabulary before = lb.vocab();  // knows `x`, not `Zed`
+  ASSERT_OK_AND_ASSIGN(Query q,
+                       ParseQuery(lb.mutable_vocab(), "(x) . x = Zed"));
+  ASSERT_OK_AND_ASSIGN(BoundQuery bound, BoundQuery::Bind(q));
+  // Compiled over the vocabulary from before `Zed` was interned, the plan
+  // names a constant id out of that vocabulary's range.
+  EXPECT_EQ(bound.CompileRaPlan(before).code(), StatusCode::kInternal);
+  EXPECT_EQ(bound.ra_plan(), nullptr);
+
+  RaExactEvaluator ra(&lb);
+  EXPECT_EQ(ra.AnswerBound(bound).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(ra.PossibleAnswerBound(bound).status().code(),
+            StatusCode::kInternal);
+}
+#endif  // NDEBUG
 
 /// A prepared binding's plan may be freed after its call, and the next
 /// compiled plan may be allocated at the freed address: the engine must

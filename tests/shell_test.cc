@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "tests/testing.h"
 
@@ -358,6 +360,31 @@ TEST(ShellTest, LoadsAndQueriesEveryExampleWorld) {
     EXPECT_EQ(out.find("unknown command"), std::string::npos) << out;
   }
   EXPECT_GE(worlds, 7u) << "expected one data file per example binary";
+}
+
+/// `explain` and `plan` parse through the service like every query
+/// command, so a constant they intern grows `C` in step with the result
+/// cache's change epochs: the next `exact` is recomputed over the grown
+/// `C` instead of served from the cache.
+TEST(ShellTest, ExplainAndPlanGrowConstantsThroughTheService) {
+  // Holds while every constant occurs in a fact, as in quickstart; fails
+  // once `Zed`, which occurs in none, joins `C`.
+  const std::string sentence =
+      "exact () . forall x. exists y. EMP_DEPT(x, y) | EMP_DEPT(y, x) | "
+      "DEPT_MGR(x, y) | DEPT_MGR(y, x)\n";
+  for (const std::string command : {"explain", "plan"}) {
+    SCOPED_TRACE(command);
+    const std::string out = RunShellScript(
+        "load " + std::string(LQDB_EXAMPLES_DATA_DIR) + "/quickstart.lqdb\n" +
+        sentence + command + " (x) . EMP_DEPT(x, Zed)\n" + sentence);
+    EXPECT_EQ(out.find("error:"), std::string::npos) << out;
+    std::vector<std::string> answers;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+      if (line == "{()}" || line == "{}") answers.push_back(line);
+    }
+    EXPECT_EQ(answers, (std::vector<std::string>{"{()}", "{}"})) << out;
+  }
 }
 #endif  // LQDB_EXAMPLES_DATA_DIR
 

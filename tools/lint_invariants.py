@@ -21,13 +21,23 @@ raw-mutex
     through the annotated wrappers so Clang's -Wthread-safety can see it.
 
 one-sweep-loop
-    A call to ``ForEachCanonicalMapping``, ``ForEachCanonicalMappingChunk``,
-    ``ForEachCanonicalMappingInRange`` or ``ForEachMapping`` inside
-    src/lqdb outside the enumerators themselves (cwdb/mapping.{h,cc}) and
-    the one Theorem 1 sweep driver (exact/sweep.cc). The per-mapping loop
-    body was once copied eleven times across the exact engines and the
-    copies drifted apart; engines pick a mapping source and a per-image
-    check and call ``RunSweep`` instead.
+    A call to ``ForEachCanonicalMapping``, ``ForEachCanonicalMappingChunk``
+    or ``ForEachMapping`` inside src/lqdb outside the enumerators
+    themselves (cwdb/mapping.{h,cc}) and the one Theorem 1 sweep driver
+    (exact/sweep.cc). The per-mapping loop body was once copied eleven
+    times across the exact engines and the copies drifted apart; engines
+    pick a mapping source and a per-image check and call ``RunSweep``
+    instead.
+
+one-compile-site
+    A call to ``SemijoinReduce`` or ``ValidatePlan`` inside src/lqdb
+    outside the RA layer itself (ra/) and ``BoundQuery::CompileRaPlan``
+    (eval/bound_query.cc). The exact engine's compiled check was once kept
+    in three places (the prepared binding, a plan cache keyed by the
+    printed query, and a reduction cache keyed by plan address that served
+    a freed plan's reduction to a new plan), and the validator ran at two
+    sites that missed a prepared statement's plan. A query becomes its
+    per-image check, reduced and validated, in one place.
 
 Suppression: append ``// lint:allow(<rule>)`` to the offending line.
 
@@ -51,6 +61,9 @@ SWEEP_LOOP_HOMES = (
     "src/lqdb/cwdb/mapping.cc",
     "src/lqdb/exact/sweep.cc",
 )
+
+# The only files under src/lqdb that may reduce or validate a plan.
+COMPILE_SITE_HOMES = ("src/lqdb/ra/", "src/lqdb/eval/bound_query.cc")
 
 RULES = [
     {
@@ -89,13 +102,22 @@ RULES = [
     {
         "name": "one-sweep-loop",
         "regex": re.compile(
-            r"\bForEach(?:CanonicalMapping(?:Chunk|InRange)?|Mapping)\s*\("
+            r"\bForEach(?:CanonicalMapping(?:Chunk)?|Mapping)\s*\("
         ),
         "message": "Theorem 1 mapping loop outside the sweep driver (pick a "
                    "source and a check and call RunSweep, "
                    "lqdb/exact/sweep.h)",
         "applies": lambda rel: (rel.startswith("src/lqdb/")
                                 and rel not in SWEEP_LOOP_HOMES),
+    },
+    {
+        "name": "one-compile-site",
+        "regex": re.compile(r"\b(?:SemijoinReduce|ValidatePlan)\s*\("),
+        "message": "plan reduced or validated outside "
+                   "BoundQuery::CompileRaPlan (compile the binding and read "
+                   "ra_plan()/ra_reduced(), lqdb/eval/bound_query.h)",
+        "applies": lambda rel: (rel.startswith("src/lqdb/")
+                                and not rel.startswith(COMPILE_SITE_HOMES)),
     },
 ]
 

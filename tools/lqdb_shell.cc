@@ -34,6 +34,7 @@
 #include "lqdb/cwdb/theory.h"
 #include "lqdb/engine/engine.h"
 #include "lqdb/eval/answer.h"
+#include "lqdb/eval/bound_query.h"
 #include "lqdb/eval/evaluator.h"
 #include "lqdb/io/text_format.h"
 #include "lqdb/logic/parser.h"
@@ -287,22 +288,32 @@ class Shell {
     return command;  // "exact", "approx", "physical"
   }
 
+  /// Parses `text` for `explain` and `plan` the way every query command
+  /// parses it: through the service, whose `Session::Prepare` interns new
+  /// names under the writer lock and moves the result cache's epochs when
+  /// `C` grows. Parsing straight into the vocabulary would grow `C` behind
+  /// the cache, which would keep serving answers computed over the old
+  /// `C`. The second parse finds every name interned and adds none.
+  Result<Query> ParseViaService(const std::string& engine,
+                                const std::string& text) {
+    Session* session = SessionFor(engine);
+    if (session == nullptr) {
+      return Status::Internal("no session for engine '" + engine + "'");
+    }
+    LQDB_RETURN_IF_ERROR(session->Prepare(text).status());
+    return ParseQuery(lb_->mutable_vocab(), text);
+  }
+
   /// `explain`: how the exact engine would evaluate the query — the
   /// compiled relational-algebra plan (join-ordered against the loaded
   /// database's cardinalities), its DAG size, and its SQL rendering.
   /// Queries outside the compilable first-order fragment report the
   /// fallback the exact engine takes instead.
   void Explain(const std::string& text) {
-    auto query = ParseQuery(lb_->mutable_vocab(), text);
+    auto query = ParseViaService("exact", text);
     if (!query.ok()) return Report(query.status());
-    RaCardinalities stats;
-    stats.domain_size = static_cast<double>(lb_->num_constants());
-    stats.relation_sizes.assign(lb_->vocab().num_predicates(), 0.0);
-    for (PredId p : lb_->PredicatesWithFacts()) {
-      stats.relation_sizes[p] = static_cast<double>(lb_->facts(p).size());
-    }
-    stats.dp_join_cap = options_.exact.ra_dp_join_cap;
-    RaCompiler compiler(&lb_->vocab(), stats);
+    RaCompiler compiler(
+        &lb_->vocab(), RaCardinalitiesFor(*lb_, options_.exact.ra_dp_join_cap));
     auto plan = compiler.Compile(query.value());
     if (!plan.ok()) {
       std::printf("not compilable to relational algebra: %s\n",
@@ -341,7 +352,7 @@ class Shell {
 
   void RunQuery(const std::string& command, const std::string& text) {
     if (command == "plan") {
-      auto query = ParseQuery(lb_->mutable_vocab(), text);
+      auto query = ParseViaService("approx", text);
       if (!query.ok()) return Report(query.status());
       auto approx = ApproxEvaluator::Make(lb_.get());
       if (!approx.ok()) return Report(approx.status());
