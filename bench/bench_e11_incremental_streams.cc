@@ -84,7 +84,6 @@ std::shared_ptr<Session> OpenStreamSession(Service& service, bool reuse) {
   options.engine = "exact";
   options.use_result_cache = reuse;
   options.engine_options.exact.memo = reuse;
-  options.engine_options.brute.memo = reuse;
   return service.OpenSession(std::move(options)).value();
 }
 

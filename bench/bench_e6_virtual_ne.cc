@@ -66,7 +66,7 @@ void BM_MaterializeNeConstruction(benchmark::State& state) {
     state.ResumeTiming();
     Ph2Options options;
     options.materialize_ne = true;
-    auto ph2 = MakePh2(lb.get(), options);
+    auto ph2 = MakePh2(*lb, lb->mutable_vocab(), options);
     benchmark::DoNotOptimize(ph2);
   }
 }

@@ -55,7 +55,7 @@ int main() {
   // --- Part 1: the transform, made visible. -------------------------------
   {
     CwDatabase lb = MakeWorld(2, 1, 7);
-    auto ph2 = MakePh2(&lb, Ph2Options{});
+    auto ph2 = MakePh2(lb, lb.mutable_vocab(), Ph2Options{});
     QueryTransformer transformer(lb.mutable_vocab(), ph2->ne);
     auto q = ParseQuery(lb.mutable_vocab(),
                         "(x) . LOCAL(x) & !SUPPLIES(x, Gadget)");

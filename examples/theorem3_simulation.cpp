@@ -27,7 +27,7 @@ int main() {
   lb.AddUnknownConstant("Mystery");
   if (!lb.AddFact("T", {"Soc", "Pla"}).ok()) return 1;
 
-  auto ph2 = MakePh2(&lb, Ph2Options{});
+  auto ph2 = MakePh2(lb, lb.mutable_vocab(), Ph2Options{});
   if (!ph2.ok()) return 1;
 
   auto q = ParseQuery(lb.mutable_vocab(), "(x) . !T(x, Pla)");

@@ -56,16 +56,19 @@ int main() {
   auto approx = ApproxEvaluator::Make(&lb, options);
   auto q = ParseQuery(lb.mutable_vocab(), "(x) . !VIP(x)");
   auto tq = approx.value()->Transform(q.value());
+  // Q^ speaks the extended language L' = L + {NE, alpha_VIP}, which the
+  // approximation builds privately: lb's own vocabulary is left untouched.
+  const Vocabulary& lprime = approx.value()->vocab();
   std::printf("Q  = %s\nQ^ = %s\n\n",
               PrintQuery(lb.vocab(), q.value()).c_str(),
-              PrintQuery(lb.vocab(), tq->query).c_str());
+              PrintQuery(lprime, tq->query).c_str());
 
-  RaCompiler compiler(&lb.vocab());
+  RaCompiler compiler(&lprime);
   auto plan = compiler.Compile(tq->query);
   std::printf("relational-algebra plan:\n%s\n",
-              plan.value()->ToString(lb.vocab()).c_str());
+              plan.value()->ToString(lprime).c_str());
   std::printf("equivalent SQL (alpha_VIP as a materialized view):\n%s\n\n",
-              EmitSql(lb.vocab(), plan.value()).c_str());
+              EmitSql(lprime, plan.value()).c_str());
 
   auto answer = approx.value()->Answer(q.value());
   PhysicalDatabase ph1 = MakePh1(lb);

@@ -6,33 +6,32 @@
 namespace lqdb {
 
 Result<std::unique_ptr<ApproxEvaluator>> ApproxEvaluator::Make(
-    CwDatabase* lb, ApproxOptions options) {
+    const CwDatabase* lb, ApproxOptions options) {
   if (lb == nullptr) return Status::InvalidArgument("null database");
   LQDB_RETURN_IF_ERROR(lb->Validate());
-  Ph2Options ph2_options;
-  ph2_options.materialize_ne = options.materialize_ne;
-  LQDB_ASSIGN_OR_RETURN(Ph2 ph2, MakePh2(lb, ph2_options));
-  // unique_ptr because the provider/transformer members hold stable
-  // self-referential pointers (ph2_.ne) captured at construction.
-  return std::unique_ptr<ApproxEvaluator>(
-      new ApproxEvaluator(lb, std::move(ph2), options));
+  return std::unique_ptr<ApproxEvaluator>(new ApproxEvaluator(lb, options));
 }
 
 Result<TransformedQuery> ApproxEvaluator::Transform(const Query& query) {
-  TransformOptions topt;
-  topt.alpha_mode = options_.alpha_mode;
   if (options_.engine == ApproxEngine::kRelationalAlgebra &&
       options_.alpha_mode != AlphaMode::kVirtual) {
     return Status::InvalidArgument(
         "the relational-algebra engine requires AlphaMode::kVirtual "
         "(alpha extensions are materialized as stored relations)");
   }
-  LQDB_ASSIGN_OR_RETURN(TransformedQuery tq,
-                        transformer_.Transform(query, topt));
-  for (const auto& [alpha, source] : tq.alpha_preds) {
-    provider_.RegisterAlpha(alpha, source);
-  }
-  return tq;
+  // This call's L′ and Ph₂, from the database as it is now. The RA engine
+  // reads `NE` as a stored relation, so it always has it materialized.
+  ph2_.reset();
+  vocab_ = std::make_unique<Vocabulary>(lb_->vocab());
+  Ph2Options ph2_options;
+  ph2_options.materialize_ne =
+      options_.materialize_ne ||
+      options_.engine == ApproxEngine::kRelationalAlgebra;
+  LQDB_ASSIGN_OR_RETURN(Ph2 ph2, MakePh2(*lb_, vocab_.get(), ph2_options));
+  ph2_.emplace(std::move(ph2));
+  TransformOptions topt;
+  topt.alpha_mode = options_.alpha_mode;
+  return QueryTransformer(vocab_.get(), ph2_->ne).Transform(query, topt);
 }
 
 Result<Relation> ApproxEvaluator::Answer(const Query& query) {
@@ -54,24 +53,20 @@ Result<bool> ApproxEvaluator::Contains(const Query& query,
 
 Result<Relation> ApproxEvaluator::AnswerWithEvaluator(
     const TransformedQuery& tq) {
-  Evaluator eval(&ph2_.db, options_.eval);
-  eval.set_virtual_provider(&provider_);
+  ApproxProvider provider(lb_, ph2_->ne);
+  for (const auto& [alpha, source] : tq.alpha_preds) {
+    provider.RegisterAlpha(alpha, source);
+  }
+  Evaluator eval(&ph2_->db, options_.eval);
+  eval.set_virtual_provider(&provider);
   return eval.Answer(tq.query);
 }
 
 Result<Relation> ApproxEvaluator::AnswerWithRa(const TransformedQuery& tq) {
-  // Scratch copy of Ph₂ with NE and the needed α_P extensions materialized
-  // as ordinary stored relations — exactly what a deployment on a standard
-  // relational DBMS would keep as tables / materialized views.
-  PhysicalDatabase scratch = ph2_.db;
-  if (!scratch.HasRelation(ph2_.ne)) {
-    Relation ne(2);
-    for (const auto& [a, b] : lb_->AllDistinctPairs()) {
-      ne.Insert({a, b});
-      ne.Insert({b, a});
-    }
-    LQDB_RETURN_IF_ERROR(scratch.SetRelation(ph2_.ne, std::move(ne)));
-  }
+  // Scratch copy of Ph₂ (NE materialized) with the needed α_P extensions
+  // added as ordinary stored relations — exactly what a deployment on a
+  // standard relational DBMS would keep as tables / materialized views.
+  PhysicalDatabase scratch = ph2_->db;
   for (const auto& [alpha, source] : tq.alpha_preds) {
     const int arity = lb_->vocab().PredicateArity(source);
     Relation ext(arity);
@@ -90,7 +85,7 @@ Result<Relation> ApproxEvaluator::AnswerWithRa(const TransformedQuery& tq) {
     LQDB_RETURN_IF_ERROR(scratch.SetRelation(alpha, std::move(ext)));
   }
 
-  RaCompiler compiler(&lb_->vocab());
+  RaCompiler compiler(vocab_.get());
   LQDB_ASSIGN_OR_RETURN(PlanPtr plan, compiler.Compile(tq.query));
   RaExecutor executor(&scratch);
   LQDB_ASSIGN_OR_RETURN(RaTable table, executor.Execute(plan));

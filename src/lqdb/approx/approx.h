@@ -2,6 +2,7 @@
 #define LQDB_APPROX_APPROX_H_
 
 #include <memory>
+#include <optional>
 
 #include "lqdb/approx/alpha.h"
 #include "lqdb/approx/transform.h"
@@ -30,8 +31,8 @@ struct ApproxOptions {
   ApproxEngine engine = ApproxEngine::kEvaluator;
   /// Materialize the quadratic `NE` relation inside `Ph₂` instead of
   /// answering it from the stored axioms (§5 closing remark compares the
-  /// two; see bench E6). The RA engine always materializes into its scratch
-  /// database regardless of this flag.
+  /// two; see bench E6). The RA engine always materializes it, regardless
+  /// of this flag.
   bool materialize_ne = false;
   EvalOptions eval;
 };
@@ -45,13 +46,18 @@ struct ApproxOptions {
 ///   - complete for fully specified databases          (Theorem 12)
 ///   - complete for positive queries                   (Theorem 13)
 ///   - same complexity as physical query evaluation    (Theorem 14)
+///
+/// The evaluator only reads the database. Every call builds its own
+/// `L′ = L ∪ {NE, α_P}` — a copy of `lb`'s vocabulary extended with `NE`,
+/// the α predicates and the transform's fresh variables — and `Ph₂(LB)`
+/// over it, from the database as it is at that call. So facts and
+/// constants added after `Make` are seen, and `lb`'s vocabulary never
+/// grows.
 class ApproxEvaluator {
  public:
-  /// Builds `Ph₂(LB)` (extending the vocabulary with `NE`). `lb` is
-  /// borrowed and must outlive the evaluator; it must not be moved while
-  /// the evaluator is alive.
+  /// `lb` is borrowed and must outlive the evaluator.
   static Result<std::unique_ptr<ApproxEvaluator>> Make(
-      CwDatabase* lb, ApproxOptions options = {});
+      const CwDatabase* lb, ApproxOptions options = {});
 
   /// The approximate answer `A(Q, LB)` — a relation over the constants `C`.
   Result<Relation> Answer(const Query& query);
@@ -60,28 +66,26 @@ class ApproxEvaluator {
   Result<bool> Contains(const Query& query, const Tuple& candidate);
 
   /// The transform `Q → Q̂` used by this evaluator (for inspection and for
-  /// the engine-ablation bench).
+  /// the engine-ablation bench). `Q̂` is over `vocab()`.
   Result<TransformedQuery> Transform(const Query& query);
 
-  const Ph2& ph2() const { return ph2_; }
+  /// `L′` and `Ph₂(LB)` of the last successful call (`Answer`, `Contains`
+  /// or `Transform`); valid until the next call.
+  const Vocabulary& vocab() const { return *vocab_; }
+  const Ph2& ph2() const { return *ph2_; }
   const ApproxOptions& options() const { return options_; }
 
  private:
-  ApproxEvaluator(CwDatabase* lb, Ph2 ph2, ApproxOptions options)
-      : lb_(lb),
-        ph2_(std::move(ph2)),
-        options_(options),
-        provider_(lb, ph2_.ne),
-        transformer_(lb->mutable_vocab(), ph2_.ne) {}
+  ApproxEvaluator(const CwDatabase* lb, ApproxOptions options)
+      : lb_(lb), options_(options) {}
 
   Result<Relation> AnswerWithEvaluator(const TransformedQuery& tq);
   Result<Relation> AnswerWithRa(const TransformedQuery& tq);
 
-  CwDatabase* lb_;
-  Ph2 ph2_;
+  const CwDatabase* lb_;
   ApproxOptions options_;
-  ApproxProvider provider_;
-  QueryTransformer transformer_;
+  std::unique_ptr<Vocabulary> vocab_;  // L′; `ph2_` borrows it
+  std::optional<Ph2> ph2_;
 };
 
 }  // namespace lqdb

@@ -2,8 +2,8 @@
 
 namespace lqdb {
 
-PhysicalDatabase MakePh1(const CwDatabase& lb) {
-  PhysicalDatabase db(&lb.vocab());
+PhysicalDatabase MakePh1(const CwDatabase& lb, const Vocabulary* vocab) {
+  PhysicalDatabase db(vocab != nullptr ? vocab : &lb.vocab());
   db.InterpretConstantsAsThemselves();
   for (PredId p : lb.PredicatesWithFacts()) {
     for (const Tuple& t : lb.facts(p).tuples()) {
@@ -14,17 +14,21 @@ PhysicalDatabase MakePh1(const CwDatabase& lb) {
   return db;
 }
 
-Result<Ph2> MakePh2(CwDatabase* lb, const Ph2Options& options) {
-  LQDB_RETURN_IF_ERROR(lb->Validate());
-  LQDB_ASSIGN_OR_RETURN(
-      PredId ne, lb->mutable_vocab()->AddAuxiliaryPredicate(
-                     kNePredicateName, 2));
-  PhysicalDatabase db = MakePh1(*lb);
+Result<Ph2> MakePh2(const CwDatabase& lb, Vocabulary* lprime,
+                    const Ph2Options& options) {
+  LQDB_RETURN_IF_ERROR(lb.Validate());
+  LQDB_ASSIGN_OR_RETURN(PredId ne, lprime->AddAuxiliaryPredicate(
+                                       kNePredicateName, 2));
+  PhysicalDatabase db = MakePh1(lb, lprime);
   if (options.materialize_ne) {
-    for (const auto& [a, b] : lb->AllDistinctPairs()) {
-      LQDB_RETURN_IF_ERROR(db.AddTuple(ne, {a, b}));
-      LQDB_RETURN_IF_ERROR(db.AddTuple(ne, {b, a}));
+    // Built whole: the pairs are constants of `lb`, so no per-tuple
+    // domain check is needed.
+    Relation pairs(2);
+    for (const auto& [a, b] : lb.AllDistinctPairs()) {
+      pairs.Insert({a, b});
+      pairs.Insert({b, a});
     }
+    LQDB_RETURN_IF_ERROR(db.SetRelation(ne, std::move(pairs)));
   }
   return Ph2{std::move(db), ne};
 }

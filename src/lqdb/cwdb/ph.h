@@ -2,7 +2,6 @@
 #define LQDB_CWDB_PH_H_
 
 #include "lqdb/cwdb/cw_database.h"
-#include "lqdb/eval/evaluator.h"
 #include "lqdb/relational/database.h"
 #include "lqdb/util/result.h"
 
@@ -10,9 +9,11 @@ namespace lqdb {
 
 /// `Ph₁(LB)` (§3.1): the physical database whose domain is the constant set
 /// `C`, whose constants are interpreted as themselves, and whose relations
-/// hold exactly the atomic facts. The returned database borrows the
-/// database's vocabulary, which must outlive it (and must not be moved).
-PhysicalDatabase MakePh1(const CwDatabase& lb);
+/// hold exactly the atomic facts. The returned database borrows `vocab`
+/// (default: the database's own vocabulary), which must extend the
+/// database's vocabulary and outlive the result (and must not be moved).
+PhysicalDatabase MakePh1(const CwDatabase& lb,
+                         const Vocabulary* vocab = nullptr);
 
 /// Name of the inequality predicate added by `MakePh2`.
 inline constexpr const char* kNePredicateName = "NE";
@@ -20,43 +21,26 @@ inline constexpr const char* kNePredicateName = "NE";
 struct Ph2Options {
   /// When true, the `NE` relation is materialized with every uniqueness
   /// pair in both orientations — up to quadratic in |C|. When false, the
-  /// relation is left empty and membership must be answered by a
-  /// `VirtualNeProvider` (the §5 closing-remark implementation).
+  /// relation is left empty and membership must be answered from the
+  /// stored axioms by a virtual-relation provider (`ApproxProvider`, the
+  /// §5 closing-remark implementation).
   bool materialize_ne = true;
 };
 
 struct Ph2 {
   PhysicalDatabase db;
-  PredId ne;  ///< Id of the `NE` predicate in the (extended) vocabulary.
+  PredId ne;  ///< Id of the `NE` predicate in `L'`.
 };
 
-/// `Ph₂(LB)` (§3.2/§5): `Ph₁` over the vocabulary `L'` extended with the
-/// binary predicate `NE` that records the uniqueness axioms. Mutates the
-/// vocabulary of `lb` (declaring `NE` as an auxiliary predicate).
-Result<Ph2> MakePh2(CwDatabase* lb, const Ph2Options& options = {});
-
-/// Decides `NE(x, y)` directly from the stored known/unknown partition and
-/// explicit pairs, in O(log #explicit) per probe and O(U + NE') storage:
-///
-///   NE(x, y) ≡ NE'(x, y) ∨ (¬U(x) ∧ ¬U(y) ∧ ¬(x = y))
-///
-/// Precondition: attached to databases whose domain values are the constant
-/// ids of `lb` (true for `Ph₂` and all mapping images).
-class VirtualNeProvider : public VirtualRelationProvider {
- public:
-  VirtualNeProvider(const CwDatabase* lb, PredId ne) : lb_(lb), ne_(ne) {}
-
-  bool Provides(PredId pred) const override { return pred == ne_; }
-
-  bool Contains(PredId pred, const Tuple& args) const override {
-    (void)pred;
-    return lb_->AreDistinct(args[0], args[1]);
-  }
-
- private:
-  const CwDatabase* lb_;
-  PredId ne_;
-};
+/// `Ph₂(LB)` (§3.2/§5): `Ph₁` over the vocabulary `L'`, `lb`'s vocabulary
+/// extended with the binary predicate `NE` that records the uniqueness
+/// axioms. `lprime` becomes `L'`: `NE` is declared in it as an auxiliary
+/// predicate. It must be `lb`'s vocabulary or a copy of it (possibly
+/// already extended), and the result borrows it. Pass `lb.mutable_vocab()`
+/// for the paper's in-place construction, or a private copy to leave `lb`
+/// untouched (what `ApproxEvaluator` does).
+Result<Ph2> MakePh2(const CwDatabase& lb, Vocabulary* lprime,
+                    const Ph2Options& options = {});
 
 }  // namespace lqdb
 

@@ -44,7 +44,8 @@ struct PreciseSimulation {
 };
 
 /// Builds Q' for `query` against the vocabulary of `lb` (which must
-/// already contain `NE`, i.e. `MakePh2` was called). Only the predicates
+/// already contain `NE`, i.e. `MakePh2` was called with `lb`'s own
+/// vocabulary — the paper's in-place construction). Only the predicates
 /// occurring in the query body receive primed copies — predicates the
 /// query never mentions cannot influence ψ, so quantifying their images
 /// would only enlarge the search space.

@@ -152,16 +152,18 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     // options it understands.
     auto register_exact = [&](const std::string& name, auto make) {
       must_register(name, caps,
-                    [name, caps, make](CwDatabase* lb,
+                    [name, caps, make](const CwDatabase* lb,
                                        const EngineOptions& options)
                         -> Result<std::unique_ptr<QueryEngine>> {
                       return std::unique_ptr<QueryEngine>(
                           new ExactEngine(name, caps, lb, make(lb, options)));
                     });
     };
-    register_exact("brute", [](CwDatabase* lb, const EngineOptions& options) {
-      return std::make_unique<BruteForceEvaluator>(lb, options.brute);
-    });
+    register_exact("brute",
+                   [](const CwDatabase* lb, const EngineOptions& options) {
+                     return std::make_unique<BruteForceEvaluator>(
+                         lb, options.exact);
+                   });
     // "exact" is the compiled-RA engine: same Theorem 1 semantics, same
     // answers bit-for-bit (the differential suite pins this on every
     // instance), but the per-image check is the binding's semijoin-reduced
@@ -170,14 +172,16 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     // faster on the E10 large-world join rows. Queries outside the
     // compilable first-order fragment take the Tarskian check, so coverage
     // is unchanged.
-    register_exact("exact", [](CwDatabase* lb, const EngineOptions& options) {
-      return std::make_unique<RaExactEvaluator>(lb, options.exact);
-    });
+    register_exact("exact",
+                   [](const CwDatabase* lb, const EngineOptions& options) {
+                     return std::make_unique<RaExactEvaluator>(lb,
+                                                               options.exact);
+                   });
     // The batched Tarskian sweep under its explicit name, so benches and
     // ablations can compare against it (see the E7/E8/E10 rows and README
     // "Engines").
     register_exact("batched-exact",
-                   [](CwDatabase* lb, const EngineOptions& options) {
+                   [](const CwDatabase* lb, const EngineOptions& options) {
                      return std::make_unique<ExactEvaluator>(lb,
                                                              options.exact);
                    });
@@ -186,10 +190,9 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     EngineCapabilities caps;
     caps.sound = true;
     caps.polynomial = true;
-    caps.mutates_database = true;  // interns NE/α and snapshots Ph₂ in Make
     must_register(
         "approx", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
+        [caps](const CwDatabase* lb, const EngineOptions& options)
             -> Result<std::unique_ptr<QueryEngine>> {
           auto impl = ApproxEvaluator::Make(lb, options.approx);
           if (!impl.ok()) return impl.status();
@@ -202,7 +205,7 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     caps.polynomial = true;
     must_register(
         "physical", caps,
-        [caps](CwDatabase* lb, const EngineOptions& options)
+        [caps](const CwDatabase* lb, const EngineOptions& options)
             -> Result<std::unique_ptr<QueryEngine>> {
           return std::unique_ptr<QueryEngine>(new PhysicalEngine(
               "physical", caps, lb, options.exact.eval));

@@ -67,7 +67,7 @@ Result<EngineCapabilities> EngineRegistry::CapabilitiesOf(
 }
 
 Result<std::unique_ptr<QueryEngine>> EngineRegistry::Create(
-    std::string_view name, CwDatabase* lb,
+    std::string_view name, const CwDatabase* lb,
     const EngineOptions& options) const {
   if (lb == nullptr) {
     return Status::InvalidArgument("database must be non-null");

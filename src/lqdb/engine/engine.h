@@ -23,7 +23,8 @@ namespace lqdb {
 /// What a query engine promises about its answers, relative to the certain
 /// answer `Q(LB)` of §2.1. The differential harness derives its agreement
 /// obligations from these flags: two `sound && complete` engines must agree
-/// exactly; a sound engine's answer must be ⊆ every exact engine's.
+/// exactly; a sound engine's answer must be ⊆ every exact engine's. No flag
+/// describes writes: every engine only reads the database.
 struct EngineCapabilities {
   /// Every returned tuple is in the certain answer (no false positives).
   bool sound = false;
@@ -34,12 +35,6 @@ struct EngineCapabilities {
   bool polynomial = false;
   /// `PossibleAnswer` is implemented.
   bool supports_possible = false;
-  /// Constructing (or running) the engine mutates the database — the §5
-  /// approximation interns `NE` and α predicates and snapshots `Ph₂` at
-  /// construction. The service layer serializes such engines behind an
-  /// exclusive database lock and rebuilds them per execution so they never
-  /// answer from a stale snapshot.
-  bool mutates_database = false;
 
   /// Sound and complete: computes exactly `Q(LB)`.
   bool exact() const { return sound && complete; }
@@ -50,14 +45,17 @@ struct EngineCapabilities {
 /// (instead of per-engine variants) is what lets the shell, the benches and
 /// the differential harness configure any engine by name.
 struct EngineOptions {
+  /// Every Theorem 1 engine ("brute", "batched-exact", "exact").
   ExactOptions exact;
-  BruteOptions brute;
   ApproxOptions approx;
 };
 
 /// A query evaluation strategy over one CW logical database. Engines are
 /// created per database via `EngineRegistry::Create` and borrow the
-/// database, which must outlive them.
+/// database, which must outlive them. Engines only read the database:
+/// every call sees it as it is at that call, so one engine serves across
+/// updates, and engines on one database may run concurrently while nothing
+/// writes it.
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;
@@ -99,11 +97,11 @@ class QueryEngine {
   virtual KernelMemoCounters last_memo_counters() const { return {}; }
 };
 
-/// Builds an engine over `lb`. Factories may mutate the database's
-/// vocabulary (the §5 approximation extends it with `NE` and α predicates)
-/// and may fail (e.g. on queries the configuration cannot support).
+/// Builds an engine over `lb`. Factories only read the database (the §5
+/// approximation builds its extended language `L′` privately, per call)
+/// and may fail (e.g. on an invalid database).
 using EngineFactory = std::function<Result<std::unique_ptr<QueryEngine>>(
-    CwDatabase* lb, const EngineOptions& options)>;
+    const CwDatabase* lb, const EngineOptions& options)>;
 
 /// A string-keyed registry of engine factories. The builtin engines
 /// ("brute", "batched-exact", "exact", "approx", "physical") are
@@ -130,9 +128,10 @@ class EngineRegistry {
   /// Capability flags of a registered engine (without building one).
   Result<EngineCapabilities> CapabilitiesOf(std::string_view name) const;
 
-  /// Instantiates the named engine over `lb`; `NotFound` for unknown names.
+  /// Instantiates the named engine over `lb`, which the factory and the
+  /// engine only read; `NotFound` for unknown names.
   Result<std::unique_ptr<QueryEngine>> Create(
-      std::string_view name, CwDatabase* lb,
+      std::string_view name, const CwDatabase* lb,
       const EngineOptions& options = {}) const;
 
  private:
@@ -156,7 +155,8 @@ class EngineRegistry {
 ///                       semijoin-reduced relational-algebra plan read
 ///                       through each mapping (first-order fragment;
 ///                       second-order queries take the Tarskian check)
-///   - "approx"        — the §5 sound polynomial approximation
+///   - "approx"        — the §5 sound polynomial approximation, over an
+///                       `L′` and `Ph₂(LB)` it builds per call
 ///   - "physical"      — naive evaluation over `Ph₁` (ignores nulls;
 ///                       neither sound nor complete — a baseline)
 ///

@@ -18,13 +18,9 @@ uint64_t SaturatingPower(uint64_t base, uint64_t exp) {
 
 namespace {
 
-ExactOptions ExactOptionsFor(const BruteOptions& options) {
-  ExactOptions exact;
-  exact.max_mappings = options.max_mappings;
-  exact.memo = options.memo;
-  exact.memo_max_entries = options.memo_max_entries;
-  exact.eval = options.eval;
-  return exact;  // threads = 1: the all-functions source walks in order
+ExactOptions InOrder(ExactOptions options) {
+  options.threads = 1;  // the all-functions source walks in order
+  return options;
 }
 
 /// Odometer helper enumerating tuples over `space[i]` positions.
@@ -40,9 +36,8 @@ bool NextIndex(std::vector<size_t>* idx, size_t bound) {
 }  // namespace
 
 BruteForceEvaluator::BruteForceEvaluator(const CwDatabase* lb,
-                                         BruteOptions options)
-    : ExactEvaluator(lb, ExactOptionsFor(options),
-                     MappingSource::kAllFunctions) {}
+                                         ExactOptions options)
+    : ExactEvaluator(lb, InOrder(options), MappingSource::kAllFunctions) {}
 
 Result<bool> ModelEnumerationContains(CwDatabase* lb, const Query& query,
                                       const Tuple& candidate,

@@ -5,24 +5,12 @@
 
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/eval/evaluator.h"
-#include "lqdb/eval/kernel_memo.h"
 #include "lqdb/exact/exact.h"
 #include "lqdb/logic/query.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/util/result.h"
 
 namespace lqdb {
-
-struct BruteOptions {
-  /// Hard cap on the number of mappings (|C|^|C| grows fast).
-  uint64_t max_mappings = 50'000'000;
-  /// Kernel-class verdict memoization (see ExactOptions::memo). The brute
-  /// enumeration revisits each kernel partition many times, so the memo
-  /// pays off even more than on the canonical sweep.
-  bool memo = true;
-  size_t memo_max_entries = KernelMemo::kDefaultMaxEntries;
-  EvalOptions eval;
-};
 
 /// `base^exp` in integer arithmetic, saturating at `UINT64_MAX` on
 /// overflow. The brute-force engine sizes its |C|^|C| enumeration with
@@ -37,11 +25,14 @@ uint64_t SaturatingPower(uint64_t base, uint64_t exp);
 /// always walked in order. Exponentially redundant; exists to
 /// cross-validate the canonical enumeration (tests) and to quantify the
 /// win of canonicalization (bench E7). Calls fail with `ResourceExhausted`
-/// up front when `|C|^|C|` exceeds `max_mappings`.
+/// up front when `|C|^|C|` exceeds `options.max_mappings`. The walk is in
+/// order, so `options.threads` is forced to 1. The enumeration revisits
+/// each kernel partition many times, so the kernel memo (`options.memo`)
+/// pays off even more than on the canonical sweep.
 class BruteForceEvaluator : public ExactEvaluator {
  public:
   explicit BruteForceEvaluator(const CwDatabase* lb,
-                               BruteOptions options = {});
+                               ExactOptions options = {});
 };
 
 struct ModelEnumOptions {

@@ -20,13 +20,16 @@ namespace lqdb {
 class ThreadPool;
 struct ReducedPlan;
 
+/// Options of every Theorem 1 engine (`ExactEvaluator` and its brute-force
+/// and compiled front-ends).
 struct ExactOptions {
   /// Abort with `ResourceExhausted` after examining this many canonical
   /// mappings — the co-NP enumeration is exponential in the number of
   /// unknown values (Theorem 5), so callers opt into how much work a query
   /// may burn. Counted globally across worker threads; an answer fully
   /// decided within the budget is returned even when workers still
-  /// mid-chunk nudged the shared count past it before standing down.
+  /// mid-chunk nudged the shared count past it before standing down. The
+  /// brute-force engine instead refuses up front when `|C|^|C|` exceeds it.
   uint64_t max_mappings = 10'000'000;
   /// Join-order enumeration cap for the compiled RA path (see
   /// `RaCardinalities::dp_join_cap`): conjunctions up to this many positive
@@ -40,9 +43,6 @@ struct ExactOptions {
   /// (pinned by the differential suite); the toggle exists for A/B runs
   /// (`set memo on|off` in the shell).
   bool memo = true;
-  /// Entry cap of the per-call verdict table; beyond it the memo saturates
-  /// (stops inserting, never evicts).
-  size_t memo_max_entries = KernelMemo::kDefaultMaxEntries;
   /// Worker threads of the canonical-mapping sweep; 0 means
   /// `ThreadPool::DefaultThreads()`. At 1 the mappings are walked in order
   /// on the calling thread; otherwise the engine keeps a pool and the

@@ -33,7 +33,7 @@ Status BudgetExceeded(uint64_t max_mappings) {
 struct KernelMemoState {
   KernelMemoState(const CwDatabase& lb, const BoundQuery& bound,
                   const ExactOptions& options)
-      : memo(options.memo, options.memo_max_entries) {
+      : memo(options.memo) {
     if (memo.enabled()) ctx.emplace(lb, bound.constants());
   }
 

@@ -17,19 +17,11 @@ Result<std::shared_ptr<PreparedQuery>> PreparedQuery::Make(
   return out;
 }
 
-PreparedCache::PreparedCache(size_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 std::shared_ptr<PreparedQuery> PreparedCache::Find(
     const std::string& engine, const std::string& options_key,
     const std::string& text, PreparedHandle* handle) const {
   const std::string key = KeyOf(engine, options_key, text);
-  const Shard& shard = *shards_[ShardOf(key)];
+  const Shard& shard = shards_[ShardOf(key)];
   MutexLock lock(shard.mu);
   auto it = shard.by_key.find(key);
   if (it == shard.by_key.end()) return nullptr;
@@ -43,7 +35,7 @@ std::shared_ptr<PreparedQuery> PreparedCache::Insert(
   const std::string key =
       KeyOf(entry->engine(), entry->options_key(), entry->text());
   const size_t index = ShardOf(key);
-  Shard& shard = *shards_[index];
+  Shard& shard = shards_[index];
   MutexLock lock(shard.mu);
   auto [it, fresh] = shard.by_key.emplace(key, PreparedHandle{0});
   if (!fresh) {
@@ -64,7 +56,7 @@ std::shared_ptr<PreparedQuery> PreparedCache::Insert(
 std::shared_ptr<PreparedQuery> PreparedCache::Resolve(PreparedHandle handle)
     const {
   if (handle == 0) return nullptr;
-  const Shard& shard = *shards_[(handle - 1) % shards_.size()];
+  const Shard& shard = shards_[(handle - 1) % kShards];
   MutexLock lock(shard.mu);
   auto it = shard.by_handle.find(handle);
   return it == shard.by_handle.end() ? nullptr : it->second;
@@ -72,9 +64,9 @@ std::shared_ptr<PreparedQuery> PreparedCache::Resolve(PreparedHandle handle)
 
 size_t PreparedCache::size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->by_handle.size();
+  for (const Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    total += shard.by_handle.size();
   }
   return total;
 }

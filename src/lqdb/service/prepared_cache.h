@@ -1,12 +1,12 @@
 #ifndef LQDB_SERVICE_PREPARED_CACHE_H_
 #define LQDB_SERVICE_PREPARED_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "lqdb/eval/bound_query.h"
 #include "lqdb/util/annotations.h"
@@ -77,8 +77,6 @@ class PreparedQuery {
 /// and the loser's duplicate is dropped.
 class PreparedCache {
  public:
-  explicit PreparedCache(size_t num_shards = 8);
-
   /// Looks up a prepared statement; returns it (filling `*handle`) or null.
   std::shared_ptr<PreparedQuery> Find(const std::string& engine,
                                       const std::string& options_key,
@@ -117,16 +115,18 @@ class PreparedCache {
                            const std::string& text) {
     return engine + '\n' + options_key + '\n' + text;
   }
-  size_t ShardOf(const std::string& key) const {
-    return std::hash<std::string>{}(key) % shards_.size();
+  static constexpr size_t kShards = 8;
+
+  static size_t ShardOf(const std::string& key) {
+    return std::hash<std::string>{}(key) % kShards;
   }
-  /// Handles interleave across shards (`raw * num_shards + shard + 1`) so a
+  /// Handles interleave across shards (`raw * kShards + shard + 1`) so a
   /// handle alone identifies its shard and 0 stays invalid.
-  PreparedHandle EncodeHandle(size_t shard, uint64_t raw) const {
-    return raw * shards_.size() + shard + 1;
+  static PreparedHandle EncodeHandle(size_t shard, uint64_t raw) {
+    return raw * kShards + shard + 1;
   }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace lqdb

@@ -22,8 +22,6 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
   key += "emm=" + std::to_string(options.exact.max_mappings);
   key += ";cap=" + std::to_string(options.exact.ra_dp_join_cap);
   key += ";eso=" + std::to_string(options.exact.eval.max_so_tuple_space);
-  key += ";bmm=" + std::to_string(options.brute.max_mappings);
-  key += ";bso=" + std::to_string(options.brute.eval.max_so_tuple_space);
   key += ";aam=" + std::to_string(static_cast<int>(options.approx.alpha_mode));
   key += ";aen=" + std::to_string(static_cast<int>(options.approx.engine));
   key += ";ane=" + std::to_string(options.approx.materialize_ne ? 1 : 0);
@@ -33,18 +31,20 @@ std::string EngineOptionsFingerprint(const EngineOptions& options) {
 
 Service::Service(CwDatabase* db, ServiceOptions options)
     : db_(db),
-      options_(options),
-      cache_(options.cache_shards),
       pool_(options.threads > 0 ? options.threads
                                 : ThreadPool::DefaultThreads()) {}
 
 Result<std::shared_ptr<Session>> Service::OpenSession(SessionOptions options) {
-  LQDB_ASSIGN_OR_RETURN(
-      EngineCapabilities caps,
-      EngineRegistry::Global().CapabilitiesOf(options.engine));
+  std::unique_ptr<QueryEngine> engine;
+  {
+    ReaderLock db_lock(db_mu_);  // factories read the database
+    LQDB_ASSIGN_OR_RETURN(engine, EngineRegistry::Global().Create(
+                                      options.engine, db_,
+                                      options.engine_options));
+  }
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   return std::shared_ptr<Session>(
-      new Session(this, std::move(options), caps));
+      new Session(this, std::move(options), std::move(engine)));
 }
 
 ServiceStats Service::stats() const {
@@ -143,18 +143,19 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
     // vocabulary, and the compiler reads the fact counts.
     WriterLock db_lock(db_mu_);
     const size_t constants_before = db_->num_constants();
-    LQDB_ASSIGN_OR_RETURN(Query query,
-                          ParseQuery(db_->mutable_vocab(), text));
+    Result<Query> query = ParseQuery(db_->mutable_vocab(), text);
     if (db_->num_constants() != constants_before) {
-      // Parsing interned a constant the database had never seen: `C` grew,
-      // and every Theorem 1 answer quantifies over all of `C`, so every
-      // cached result is potentially stale.
+      // Parsing interned a constant the database had never seen — even a
+      // parse that then failed keeps it: `C` grew, and every Theorem 1
+      // answer quantifies over all of `C`, so every cached result is
+      // potentially stale.
       ++db_version_;
       global_change_ = db_version_;
     }
+    if (!query.ok()) return query.status();
     LQDB_ASSIGN_OR_RETURN(
-        entry,
-        PreparedQuery::Make(text, engine, options_key, std::move(query)));
+        entry, PreparedQuery::Make(text, engine, options_key,
+                                   std::move(query).value()));
     // Compile once at prepare time regardless of engine: exact executes
     // the reduced plan, and the other engines ignore it. The outcome is
     // recorded in the binding; a second-order body records "use the
@@ -207,46 +208,23 @@ Result<Relation> Session::Query(const std::string& text) {
   return Execute(info.handle);
 }
 
-Status Session::EnsureEngine() {
-  if (engine_ready_.load(std::memory_order_acquire)) return Status::OK();
-  // Lock order: database before session execution mutex, everywhere.
-  WriterLock db_lock(service_->db_mu_);
-  MutexLock exec_lock(exec_mu_);
-  if (engine_ready_.load(std::memory_order_relaxed)) return Status::OK();
-  LQDB_ASSIGN_OR_RETURN(engine_, EngineRegistry::Global().Create(
-                                     options_.engine, service_->db_,
-                                     options_.engine_options));
-  engine_ready_.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
 Result<Relation> Session::Run(const PreparedQuery& pq, bool possible) {
-  if (caps_.mutates_database) {
-    // A mutating engine (approx) writes the vocabulary at construction and
-    // snapshots Ph₂, so it runs exclusively and is rebuilt per execution —
-    // never answering from a snapshot that predates a later prepare. Its
-    // answers are never result-cached: the construction itself moves the
-    // database (NE/α predicates), so "same database version" does not mean
-    // "same inputs" across engine rebuilds.
-    WriterLock db_lock(service_->db_mu_);
-    MutexLock exec_lock(exec_mu_);
-    const size_t constants_before = service_->db_->num_constants();
-    LQDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryEngine> engine,
-                          EngineRegistry::Global().Create(
-                              options_.engine, service_->db_,
-                              options_.engine_options));
-    Result<Relation> out = RunLocked(engine.get(), pq, possible);
-    if (service_->db_->num_constants() != constants_before) {
-      // Engine construction interned new constants; raise the global epoch
-      // while still holding the exclusive lock.
-      ++service_->db_version_;
-      service_->global_change_ = service_->db_version_;
-    }
-    return out;
-  }
-  LQDB_RETURN_IF_ERROR(EnsureEngine());
+  // Lock order: database before session execution mutex, everywhere.
   ReaderLock db_lock(service_->db_mu_);
   MutexLock exec_lock(exec_mu_);
+  // The previous query's scratch (trace strings) dies here, so a
+  // long-lived session stays at one warm arena block.
+  arena_.Reset();
+  last_trace_ = ExecutionTrace{};
+  last_trace_.query = arena_.CopyString(pq.text().c_str(), pq.text().size());
+  // The engine that actually ran: a handle prepared on another session may
+  // carry a different engine tag, but it executes on *this* session's.
+  last_trace_.engine = arena_.CopyString(options_.engine.c_str(),
+                                         options_.engine.size());
+  last_trace_.possible = possible;
+  executions_.fetch_add(1, std::memory_order_relaxed);
+  service_->executions_.fetch_add(1, std::memory_order_relaxed);
+
   const bool cacheable = options_.use_result_cache;
   std::string key;
   if (cacheable) {
@@ -258,48 +236,16 @@ Result<Relation> Session::Run(const PreparedQuery& pq, bool possible) {
     std::optional<Relation> hit = service_->results_.Lookup(
         key, service_->global_change_, service_->pred_change_);
     if (hit.has_value()) {
-      arena_.Reset();
-      last_trace_ = ExecutionTrace{};
-      last_trace_.query =
-          arena_.CopyString(pq.text().c_str(), pq.text().size());
-      last_trace_.engine = arena_.CopyString(options_.engine.c_str(),
-                                             options_.engine.size());
-      last_trace_.possible = possible;
       last_trace_.ok = true;
       last_trace_.cached = true;
-      executions_.fetch_add(1, std::memory_order_relaxed);
-      service_->executions_.fetch_add(1, std::memory_order_relaxed);
       return std::move(*hit);
     }
   }
-  Result<Relation> out = RunLocked(engine_.get(), pq, possible);
-  if (cacheable && out.ok()) {
-    // Still under the shared lock, so the epochs cannot have moved since
-    // the engine read the database: the entry's version is exact.
-    service_->results_.Insert(key, *out, service_->db_version_,
-                              pq.bound().predicates());
-  }
-  return out;
-}
 
-Result<Relation> Session::RunLocked(QueryEngine* engine,
-                                    const PreparedQuery& pq, bool possible) {
-  // The previous query's scratch (trace strings) dies here, so a
-  // long-lived session stays at one warm arena block.
-  arena_.Reset();
-  last_trace_ = ExecutionTrace{};
-  last_trace_.query = arena_.CopyString(pq.text().c_str(), pq.text().size());
-  // The engine that actually ran: a handle prepared on another session may
-  // carry a different engine tag, but it executes on *this* session's.
-  last_trace_.engine = arena_.CopyString(options_.engine.c_str(),
-                                         options_.engine.size());
-  last_trace_.possible = possible;
-
-  Result<Relation> out = possible ? engine->PossibleAnswerBound(pq.bound())
-                                  : engine->AnswerBound(pq.bound());
-
-  last_trace_.mappings_examined = engine->last_mappings_examined();
-  last_trace_.memo = engine->last_memo_counters();
+  Result<Relation> out = possible ? engine_->PossibleAnswerBound(pq.bound())
+                                  : engine_->AnswerBound(pq.bound());
+  last_trace_.mappings_examined = engine_->last_mappings_examined();
+  last_trace_.memo = engine_->last_memo_counters();
   service_->memo_row_hits_.fetch_add(last_trace_.memo.row_hits,
                                      std::memory_order_relaxed);
   service_->memo_row_misses_.fetch_add(last_trace_.memo.row_misses,
@@ -307,8 +253,12 @@ Result<Relation> Session::RunLocked(QueryEngine* engine,
   service_->memo_images_skipped_.fetch_add(last_trace_.memo.images_skipped,
                                            std::memory_order_relaxed);
   last_trace_.ok = out.ok();
-  executions_.fetch_add(1, std::memory_order_relaxed);
-  service_->executions_.fetch_add(1, std::memory_order_relaxed);
+  if (cacheable && out.ok()) {
+    // Still under the shared lock, so the epochs cannot have moved since
+    // the engine read the database: the entry's version is exact.
+    service_->results_.Insert(key, *out, service_->db_version_,
+                              pq.bound().predicates());
+  }
   return out;
 }
 

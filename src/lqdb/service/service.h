@@ -27,8 +27,6 @@ struct ServiceOptions {
   /// Worker threads of the shared async executor; 0 means hardware
   /// concurrency.
   int threads = 0;
-  /// Mutex shards of the prepared-query cache.
-  size_t cache_shards = 8;
 };
 
 /// Service-wide counters, all monotone since construction (except
@@ -116,12 +114,13 @@ struct AsyncExecution {
 };
 
 /// One client's conversation with a `Service`: an engine choice plus
-/// per-session options, a lazily built engine instance, a per-query
-/// scratch arena reset when each execution completes, and execution
-/// counters. Sessions are the unit of concurrency — any number may execute
-/// simultaneously against the shared database, while calls *within* one
-/// session serialize on its execution mutex (engines keep per-call state
-/// such as `last_mappings_examined` and are not internally thread-safe).
+/// per-session options, the engine instance (built when the session
+/// opens), a per-query scratch arena reset when each execution completes,
+/// and execution counters. Sessions are the unit of concurrency — any
+/// number may execute simultaneously against the shared database under
+/// its shared lock, while calls *within* one session serialize on its
+/// execution mutex (engines keep per-call state such as
+/// `last_mappings_examined` and are not internally thread-safe).
 ///
 /// Obtained from `Service::OpenSession` and kept alive by `shared_ptr`;
 /// async executions extend the session's lifetime until they finish, but
@@ -173,24 +172,18 @@ class Session : public std::enable_shared_from_this<Session> {
  private:
   friend class Service;
 
-  Session(Service* service, SessionOptions options, EngineCapabilities caps)
+  Session(Service* service, SessionOptions options,
+          std::unique_ptr<QueryEngine> engine)
       : service_(service),
         options_(std::move(options)),
         options_key_(EngineOptionsFingerprint(options_.engine_options)),
-        caps_(caps) {}
+        caps_(engine->capabilities()),
+        engine_(std::move(engine)) {}
 
-  /// Builds the engine on first use. Two-phase so the fast path is one
-  /// acquire load: creation happens under the database lock (factories may
-  /// read the database) and the session's execution mutex, and the ready
-  /// flag is published last.
-  Status EnsureEngine();
-
-  /// Locks (database shared or, for a mutating engine, exclusive — always
-  /// *before* the execution mutex) and runs one execution.
+  /// Locks the database shared, then the execution mutex, and runs one
+  /// execution: from the result cache when it holds a fresh answer, else on
+  /// the engine.
   Result<Relation> Run(const PreparedQuery& pq, bool possible);
-  Result<Relation> RunLocked(QueryEngine* engine, const PreparedQuery& pq,
-                             bool possible) REQUIRES(exec_mu_)
-      REQUIRES_SHARED(service_->db_mu_);
 
   Service* service_;
   SessionOptions options_;
@@ -203,7 +196,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// service's database lock.
   Mutex exec_mu_;
   std::unique_ptr<QueryEngine> engine_ GUARDED_BY(exec_mu_);
-  std::atomic<bool> engine_ready_{false};
 
   /// Per-query scratch, reset when each execution completes (deeb's
   /// arena-per-query model).
@@ -220,15 +212,12 @@ class Session : public std::enable_shared_from_this<Session> {
 /// The query service: many concurrent sessions over one logical database,
 /// sharing a prepared-statement cache and an async executor pool.
 ///
-/// Thread-safety contract. The database is logically immutable while the
-/// service exists, but two operations physically write it and are
-/// serialized behind an internal reader/writer lock: preparing a new
-/// statement (parsing interns names into the vocabulary) and running an
-/// engine whose capabilities say `mutates_database` (the §5 approximation
-/// interns NE/α predicates — such engines also run exclusively and are
-/// rebuilt per execution so they never answer from a stale snapshot).
-/// Everything else — cache hits, executions on non-mutating engines —
-/// proceeds under a shared lock, so N sessions executing prepared
+/// Thread-safety contract. Engines only read the database. Its only
+/// writers are the parse of a prepare miss (parsing interns names into the
+/// vocabulary) and `Assert`/`Retract`; they take an internal
+/// reader/writer lock exclusively. Everything else — opening a session
+/// (which builds its engine), cache hits, executions on every engine —
+/// proceeds under the shared lock, so N sessions executing prepared
 /// statements never contend beyond the engines' own work.
 ///
 /// The service must outlive its sessions; its destructor drains the pool,
@@ -242,8 +231,9 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Creates a session; fails (`NotFound`) for an unregistered engine
-  /// name. Engine construction itself is deferred to the first execution.
+  /// Creates a session and builds its engine under the shared database
+  /// lock; fails (`NotFound`) for an unregistered engine name, or with the
+  /// engine factory's error.
   Result<std::shared_ptr<Session>> OpenSession(SessionOptions options = {});
 
   /// Applies a single-fact update behind the writer lock, interning new
@@ -279,10 +269,9 @@ class Service {
   void BumpVersionLocked(PredId pred, bool constants_grew) REQUIRES(db_mu_);
 
   CwDatabase* db_;
-  ServiceOptions options_;
 
-  /// Guards the database: shared for executions, exclusive for parsing,
-  /// updates and mutating engines. Acquired before any session's
+  /// Guards the database: shared for engine construction and executions,
+  /// exclusive for parsing and updates. Acquired before any session's
   /// `exec_mu_`.
   mutable SharedMutex db_mu_;
 

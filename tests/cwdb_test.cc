@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lqdb/approx/alpha.h"
 #include "lqdb/cwdb/cw_database.h"
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/cwdb/ph.h"
@@ -157,7 +158,7 @@ TEST(PhTest, Ph2MaterializesNeInBothOrientations) {
   lb.AddKnownConstant("A");
   lb.AddKnownConstant("B");
   lb.AddUnknownConstant("U");
-  ASSERT_OK_AND_ASSIGN(Ph2 ph2, MakePh2(&lb, Ph2Options{}));
+  ASSERT_OK_AND_ASSIGN(Ph2 ph2, MakePh2(lb, lb.mutable_vocab(), Ph2Options{}));
   const Relation& ne = ph2.db.relation(ph2.ne);
   EXPECT_EQ(ne.size(), 2u);  // (A,B) and (B,A)
   EXPECT_TRUE(ne.Contains({0, 1}));
@@ -165,12 +166,14 @@ TEST(PhTest, Ph2MaterializesNeInBothOrientations) {
   EXPECT_TRUE(lb.vocab().IsAuxiliary(ph2.ne));
 }
 
-TEST(PhTest, VirtualNeProviderMatchesMaterialized) {
+// The approximation answers `NE` from the stored axioms (the §5 closing
+// remark's virtual relation) exactly as the materialized `Ph₂` stores it.
+TEST(PhTest, ApproxProviderNeMatchesMaterialized) {
   auto lb = RandomCwDatabase(11, RandomDbParams{});
   Ph2Options opts;
   opts.materialize_ne = true;
-  ASSERT_OK_AND_ASSIGN(Ph2 ph2, MakePh2(lb.get(), opts));
-  VirtualNeProvider provider(lb.get(), ph2.ne);
+  ASSERT_OK_AND_ASSIGN(Ph2 ph2, MakePh2(*lb, lb->mutable_vocab(), opts));
+  ApproxProvider provider(lb.get(), ph2.ne);
   const ConstId n = static_cast<ConstId>(lb->num_constants());
   for (ConstId a = 0; a < n; ++a) {
     for (ConstId b = 0; b < n; ++b) {

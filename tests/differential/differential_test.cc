@@ -124,26 +124,17 @@ TEST(DifferentialTest, ApproxIsSoundAndConfigurationsAgree) {
                                       InstanceProfile::kBinary};
   for (InstanceProfile profile : profiles) {
     for (uint64_t seed = 0; seed < 30; ++seed) {
-      // The exact answer depends only on (seed, profile); compute it once
-      // on its own copy of the instance. Constant ids are deterministic in
-      // the seed, so the relation is comparable across instance copies.
-      Relation exact_answer(0);
-      {
-        DifferentialInstance instance = MakeInstance(seed, profile);
-        SCOPED_TRACE(Describe(instance));
-        ExactEvaluator exact(instance.db.get());
-        ASSERT_OK_AND_ASSIGN(exact_answer, exact.Answer(instance.query));
-      }
+      // Every config reads the one database: the approximation builds its
+      // L′ (NE, α) privately, so configs can share the instance.
+      DifferentialInstance instance = MakeInstance(seed, profile);
+      SCOPED_TRACE(Describe(instance));
+      ExactEvaluator exact(instance.db.get());
+      ASSERT_OK_AND_ASSIGN(Relation exact_answer,
+                           exact.Answer(instance.query));
 
       std::vector<Relation> answers;
       for (const Config& config : configs) {
-        // A fresh deterministic copy of the instance per config: building an
-        // ApproxEvaluator extends the database vocabulary (NE, α), so
-        // configs must not share one database.
-        DifferentialInstance instance = MakeInstance(seed, profile);
-        SCOPED_TRACE(Describe(instance));
         SCOPED_TRACE(std::string("config: ") + config.name);
-
         ApproxOptions options;
         options.alpha_mode = config.alpha;
         options.engine = config.engine;
@@ -486,10 +477,11 @@ TEST(DifferentialTest, CompiledPlansValidateOnAllInstances) {
 }
 
 /// The multi-session dimension: K = 8 concurrent service sessions — mixed
-/// engines, including the mutating approximation and multi-threaded sweeps —
-/// each replaying the same prepared statement through the shared cache,
-/// must produce answers bit-identical to a sequential replay of the exact
-/// same call sequence on a fresh copy of the instance. Constant ids are
+/// engines, including the approximation (which runs under the shared lock
+/// beside the exact engines) and multi-threaded sweeps — each replaying
+/// the same prepared statement through the shared cache, must produce
+/// answers bit-identical to a sequential replay of the exact same call
+/// sequence on a fresh copy of the instance. Constant ids are
 /// deterministic in (seed, profile), so the relations are comparable
 /// across instance copies. Runs under TSan in CI, where it also serves as
 /// the data-race probe for the service's locking discipline.
@@ -656,7 +648,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       // Brute enumerates every mapping (not just canonical representatives),
       // so its sweep is exponentially redundant — the memo's best case and
       // the harshest consistency check, since most verdicts are reused.
-      BruteOptions brute_off;
+      ExactOptions brute_off;
       brute_off.memo = false;
       BruteForceEvaluator brute_baseline(instance.db.get(), brute_off);
       ASSERT_OK_AND_ASSIGN(Relation brute_answer,

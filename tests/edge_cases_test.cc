@@ -82,7 +82,7 @@ TEST(TernaryAlphaTest, SyntacticMatchesSemanticAtArity3) {
   PredId t = lb.AddPredicate("T3", 3).value();
   ASSERT_OK(lb.AddFact(t, {a, u, w}));
   ASSERT_OK(lb.AddFact(t, {u, u, b}));
-  ASSERT_OK_AND_ASSIGN(Ph2 ph2, MakePh2(&lb, Ph2Options{}));
+  ASSERT_OK_AND_ASSIGN(Ph2 ph2, MakePh2(lb, lb.mutable_vocab(), Ph2Options{}));
 
   std::vector<VarId> xs;
   for (int i = 0; i < 3; ++i) {

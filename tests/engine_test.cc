@@ -73,7 +73,7 @@ TEST(EngineRegistryTest, UnknownNamesAreNotFound) {
 TEST(EngineRegistryTest, DuplicateRegistrationIsRejected) {
   EngineRegistry registry;  // a private registry, not the global one
   EngineCapabilities caps;
-  auto factory = [](CwDatabase*, const EngineOptions&)
+  auto factory = [](const CwDatabase*, const EngineOptions&)
       -> Result<std::unique_ptr<QueryEngine>> {
     return Status::Unimplemented("test factory");
   };
@@ -207,7 +207,7 @@ TEST(EngineRegistryTest, CustomEnginesPlugIn) {
   caps.polynomial = true;
   ASSERT_OK(registry.Register(
       "empty", caps,
-      [](CwDatabase*, const EngineOptions&)
+      [](const CwDatabase*, const EngineOptions&)
           -> Result<std::unique_ptr<QueryEngine>> {
         return std::unique_ptr<QueryEngine>(new ConstantEmptyEngine());
       }));

@@ -471,13 +471,13 @@ TEST(SaturatingPowerTest, BruteBudgetGateIsExactAtTheThreshold) {
   Vocabulary* vocab = lb.mutable_vocab();
   ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(vocab, "(x) . P(x)"));
 
-  BruteOptions exact_budget;
+  ExactOptions exact_budget;
   exact_budget.max_mappings = 27;
   BruteForceEvaluator roomy(&lb, exact_budget);
   EXPECT_OK(roomy.Answer(q).status());
   EXPECT_OK(roomy.Contains(q, {0}).status());
 
-  BruteOptions tight_budget;
+  ExactOptions tight_budget;
   tight_budget.max_mappings = 26;
   BruteForceEvaluator tight(&lb, tight_budget);
   EXPECT_EQ(tight.Answer(q).status().code(),

@@ -225,27 +225,54 @@ TEST(ServiceTest, InFlightLimitPushesBack) {
   EXPECT_TRUE(c.result.get().ok());
 }
 
-TEST(ServiceTest, MutatingApproxEngineRunsExclusively) {
+// Engines only read the database: the §5 approximation builds its `L′`
+// (NE, the α predicates, fresh variables) privately on every call. So an
+// approx execution leaves the vocabulary and the database version alone,
+// and its answers go through the result cache like every other engine's.
+TEST(ServiceTest, ApproxReadsTheDatabaseAndItsAnswersAreCached) {
   auto lb = MurderDb();
   Service service(lb.get());
   SessionOptions approx;
   approx.engine = "approx";
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
                        service.OpenSession(approx));
-  EXPECT_TRUE(session->capabilities().mutates_database);
-  // Two executions: the engine is rebuilt each time (fresh Ph₂ snapshot),
-  // and answers stay deterministic.
-  ASSERT_OK_AND_ASSIGN(Relation first, session->Query("(x) . !MURDERER(x)"));
-  ASSERT_OK_AND_ASSIGN(Relation again, session->Query("(x) . !MURDERER(x)"));
+  const std::string text = "(x) . !MURDERER(x)";
+  ASSERT_OK_AND_ASSIGN(PreparedInfo info, session->Prepare(text));
+  const Vocabulary& vocab = lb->vocab();
+  const size_t predicates = vocab.num_predicates();
+  const size_t constants = vocab.num_constants();
+  const size_t variables = vocab.num_variables();
+  const uint64_t version = service.db_version();
+
+  ASSERT_OK_AND_ASSIGN(Relation first, session->Execute(info.handle));
+  EXPECT_FALSE(session->last_trace().cached);
+  EXPECT_EQ(vocab.num_predicates(), predicates);
+  EXPECT_EQ(vocab.num_constants(), constants);
+  EXPECT_EQ(vocab.num_variables(), variables);
+  EXPECT_EQ(vocab.FindPredicate("NE"), Vocabulary::kNotFound);
+  EXPECT_EQ(vocab.FindPredicate("__alpha_MURDERER"), Vocabulary::kNotFound);
+  EXPECT_EQ(service.db_version(), version);
+
+  // Deterministic, and the repeat is served from the result cache.
+  ASSERT_OK_AND_ASSIGN(Relation again, session->Execute(info.handle));
+  EXPECT_TRUE(session->last_trace().cached);
   EXPECT_TRUE(first == again);
 
   // Soundness: the approximation's answer is contained in the exact one.
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> exact,
                        service.OpenSession());
-  ASSERT_OK_AND_ASSIGN(Relation truth, exact->Query("(x) . !MURDERER(x)"));
+  ASSERT_OK_AND_ASSIGN(Relation truth, exact->Query(text));
   for (const Tuple& t : first.tuples()) {
     EXPECT_TRUE(truth.Contains(t));
   }
+  EXPECT_TRUE(first.Contains({lb->vocab().FindConstant("Victoria")}));
+
+  // An update to the relation the query reads drops the cached answer:
+  // Victoria is no longer provably innocent.
+  ASSERT_OK(service.Assert("MURDERER", {"Victoria"}));
+  ASSERT_OK_AND_ASSIGN(Relation after, session->Execute(info.handle));
+  EXPECT_FALSE(session->last_trace().cached);
+  EXPECT_TRUE(after.empty());
 }
 
 /// Eight sessions on distinct threads hammering two shared prepared
@@ -418,6 +445,26 @@ TEST(ResultCacheTest, NewConstantInvalidatesEveryCachedResult) {
   ASSERT_OK_AND_ASSIGN(Relation q_after, session->Query("(x) . Q(x)"));
   EXPECT_FALSE(session->last_trace().cached);
   EXPECT_EQ(q_after, q_before);  // recomputed, same answer — but recomputed
+}
+
+// A prepare whose parse fails may still have interned a constant before
+// the error — and `C` grew all the same, so every cached result must drop.
+TEST(ResultCacheTest, FailedParseThatGrowsConstantsInvalidates) {
+  auto lb = MurderDb();
+  Service service(lb.get());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
+                       service.OpenSession());
+  const std::string sentence =
+      "forall x. x = Jack | x = Victoria | x = Disraeli";
+  ASSERT_OK_AND_ASSIGN(Relation closed, session->Query(sentence));
+  EXPECT_TRUE(closed.Contains(Tuple{}));
+
+  EXPECT_FALSE(session->Prepare("(x) . MURDERER(Zed) &").ok());
+  ASSERT_NE(lb->vocab().FindConstant("Zed"), Vocabulary::kNotFound);
+
+  ASSERT_OK_AND_ASSIGN(Relation open, session->Query(sentence));
+  EXPECT_FALSE(session->last_trace().cached);
+  EXPECT_TRUE(open.empty());
 }
 
 TEST(ResultCacheTest, DisabledSessionNeverTouchesTheCache) {

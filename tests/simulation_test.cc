@@ -34,7 +34,7 @@ class SimulationTest : public ::testing::Test {
   void SetUp() override {
     mystery_ = lb_.AddUnknownConstant("Mystery");
     ASSERT_OK(lb_.AddFact("T", {"Soc", "Pla"}));
-    auto ph2 = MakePh2(&lb_, Ph2Options{});
+    auto ph2 = MakePh2(lb_, lb_.mutable_vocab(), Ph2Options{});
     ASSERT_OK(ph2.status());
     ne_ = ph2->ne;
     ph2_db_ = std::make_unique<PhysicalDatabase>(std::move(ph2->db));
@@ -109,7 +109,7 @@ TEST(SimulationPropertyTest, MatchesExactOnRandomTinyDatabases) {
     params.num_binary_preds = 0;  // keep the ∀P' spaces tiny
     params.num_facts = 3;
     auto lb = testing::RandomCwDatabase(seed, params);
-    auto ph2 = MakePh2(lb.get(), Ph2Options{});
+    auto ph2 = MakePh2(*lb, lb->mutable_vocab(), Ph2Options{});
     ASSERT_OK(ph2.status());
 
     testing::RandomFormulaParams fparams;
@@ -134,7 +134,7 @@ TEST(SimulationPropertyTest, FullySpecifiedCollapsesToPh1) {
   CwDatabase lb;
   ASSERT_OK(lb.AddFact("P", {"A"}));
   lb.AddKnownConstant("B");
-  auto ph2 = MakePh2(&lb, Ph2Options{});
+  auto ph2 = MakePh2(lb, lb.mutable_vocab(), Ph2Options{});
   ASSERT_OK(ph2.status());
 
   auto q = ParseQuery(lb.mutable_vocab(), "(x) . !P(x)");

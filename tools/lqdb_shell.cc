@@ -246,7 +246,6 @@ class Shell {
         return;
       }
       options_.exact.max_mappings = max;
-      options_.brute.max_mappings = max;
       current_ = SIZE_MAX;
       std::printf("max_mappings = %llu\n", max);
     } else if (key == "memo") {
@@ -256,7 +255,6 @@ class Shell {
       }
       const bool on = value == "on";
       options_.exact.memo = on;
-      options_.brute.memo = on;
       use_result_cache_ = on;
       current_ = SIZE_MAX;
       std::printf("memo = %s\n", value.c_str());
@@ -358,12 +356,15 @@ class Shell {
       if (!approx.ok()) return Report(approx.status());
       auto tq = approx.value()->Transform(query.value());
       if (!tq.ok()) return Report(tq.status());
-      std::printf("Q^ = %s\n", PrintQuery(lb_->vocab(), tq->query).c_str());
-      RaCompiler compiler(&lb_->vocab());
+      // Q^ is over the approximation's private L' (NE, the alpha
+      // predicates), which the loaded database's vocabulary never sees.
+      const Vocabulary& lprime = approx.value()->vocab();
+      std::printf("Q^ = %s\n", PrintQuery(lprime, tq->query).c_str());
+      RaCompiler compiler(&lprime);
       auto plan = compiler.Compile(tq->query);
       if (!plan.ok()) return Report(plan.status());
-      std::printf("%s", plan.value()->ToString(lb_->vocab()).c_str());
-      std::printf("SQL:\n%s\n", EmitSql(lb_->vocab(), plan.value()).c_str());
+      std::printf("%s", plan.value()->ToString(lprime).c_str());
+      std::printf("SQL:\n%s\n", EmitSql(lprime, plan.value()).c_str());
       return;
     }
     Session* session = command == "query" ? CurrentSession()
