@@ -57,7 +57,7 @@ Result<Relation> ApproxEvaluator::AnswerWithEvaluator(
   for (const auto& [alpha, source] : tq.alpha_preds) {
     provider.RegisterAlpha(alpha, source);
   }
-  Evaluator eval(&ph2_->db, options_.eval);
+  Evaluator eval(&ph2_->db);
   eval.set_virtual_provider(&provider);
   return eval.Answer(tq.query);
 }

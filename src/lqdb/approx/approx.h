@@ -34,7 +34,6 @@ struct ApproxOptions {
   /// two; see bench E6). The RA engine always materializes it, regardless
   /// of this flag.
   bool materialize_ne = false;
-  EvalOptions eval;
 };
 
 /// Reiter-style *sound* approximate query evaluation (§5 of the paper):

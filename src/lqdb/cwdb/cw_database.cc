@@ -3,6 +3,8 @@
 #include <cassert>
 #include <string>
 
+#include "lqdb/util/parse.h"
+
 namespace lqdb {
 
 ConstId CwDatabase::InternConstant(std::string_view name, bool known) {
@@ -54,6 +56,18 @@ Status CwDatabase::AddFact(PredId pred, Tuple constants) {
 
 Status CwDatabase::AddFact(std::string_view pred,
                            std::vector<std::string_view> names) {
+  // Checked before anything is interned, so a rejected fact leaves the
+  // vocabulary as it was.
+  if (!IsIdentifier(pred)) {
+    return Status::InvalidArgument("bad predicate name '" + std::string(pred) +
+                                   "'");
+  }
+  for (std::string_view n : names) {
+    if (!IsIdentifier(n)) {
+      return Status::InvalidArgument("bad constant name '" + std::string(n) +
+                                     "'");
+    }
+  }
   LQDB_ASSIGN_OR_RETURN(
       PredId p, vocab_.AddPredicate(pred, static_cast<int>(names.size())));
   Tuple t;

@@ -67,7 +67,9 @@ class CwDatabase {
   Status AddFact(PredId pred, Tuple constants);
 
   /// Convenience: adds the fact by name, interning missing constants as
-  /// *known* constants.
+  /// *known* constants. `InvalidArgument`, with nothing interned, when the
+  /// predicate or a constant is not an identifier (`IsIdentifier`,
+  /// util/parse.h).
   Status AddFact(std::string_view pred, std::vector<std::string_view> names);
 
   /// Removes an atomic fact axiom; `NotFound` when the predicate is unknown

@@ -109,12 +109,12 @@ class ApproxQueryEngine : public EngineBase {
 class PhysicalEngine : public EngineBase {
  public:
   PhysicalEngine(std::string name, EngineCapabilities caps,
-                 const CwDatabase* lb, const EvalOptions& options)
-      : EngineBase(std::move(name), caps, lb), options_(options) {}
+                 const CwDatabase* lb)
+      : EngineBase(std::move(name), caps, lb) {}
 
   Result<Relation> Answer(const Query& query) override {
     PhysicalDatabase ph1 = MakePh1(*lb_);
-    Evaluator eval(&ph1, options_);
+    Evaluator eval(&ph1);
     return eval.Answer(query);
   }
 
@@ -123,15 +123,12 @@ class PhysicalEngine : public EngineBase {
                              const Tuple& candidate) override {
     LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(query));
     PhysicalDatabase ph1 = MakePh1(*lb_);
-    Evaluator eval(&ph1, options_);
+    Evaluator eval(&ph1);
     std::vector<char> verdicts;
     LQDB_RETURN_IF_ERROR(
         eval.SatisfiesBatch(bound, candidate.data(), 1, &verdicts));
     return verdicts[0] != 0;
   }
-
- private:
-  EvalOptions options_;
 };
 
 }  // namespace
@@ -205,10 +202,10 @@ void RegisterBuiltinEngines(EngineRegistry* registry) {
     caps.polynomial = true;
     must_register(
         "physical", caps,
-        [caps](const CwDatabase* lb, const EngineOptions& options)
+        [caps](const CwDatabase* lb, const EngineOptions&)
             -> Result<std::unique_ptr<QueryEngine>> {
-          return std::unique_ptr<QueryEngine>(new PhysicalEngine(
-              "physical", caps, lb, options.exact.eval));
+          return std::unique_ptr<QueryEngine>(
+              new PhysicalEngine("physical", caps, lb));
         });
   }
 }

@@ -54,7 +54,6 @@ struct ExactOptions {
   /// queue, so an arbitrarily skewed range can never serialize more than
   /// `steal_chunk` mappings on one worker. Values < 1 are clamped to 1.
   uint64_t steal_chunk = 64;
-  EvalOptions eval;
 };
 
 /// Which mappings a Theorem 1 sweep quantifies over.

@@ -52,7 +52,7 @@ class Checker {
       : spec_(spec),
         memo_(memo->memo.enabled() ? memo : nullptr),
         image_(&spec.lb->vocab()),
-        eval_(&image_, spec.options->eval),
+        eval_(&image_),
         exec_(ph1) {}
 
   // A worker thread holds the address, and `eval_` points into `image_`.

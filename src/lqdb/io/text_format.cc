@@ -34,16 +34,6 @@ Status Err(int line_no, const std::string& what) {
                                  what);
 }
 
-bool IsIdentifier(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Parses `NAME(arg, arg, ...)` (spaces already stripped by joining).
 Status ParseFactTerm(const std::string& term, std::string* pred,
                      std::vector<std::string>* args, int line_no) {
@@ -150,6 +140,9 @@ Result<std::unique_ptr<CwDatabase>> ParseCwDatabase(std::string_view text) {
       // missing ones as unknown (a known constant would not need an
       // explicit axiom).
       for (int i = 1; i <= 2; ++i) {
+        if (!IsIdentifier(words[i])) {
+          return Err(line_no, "bad constant name '" + words[i] + "'");
+        }
         if (lb->vocab().FindConstant(words[i]) == Vocabulary::kNotFound) {
           lb->AddUnknownConstant(words[i]);
         }

@@ -47,13 +47,9 @@ class Lexer {
         continue;
       }
       size_t start = i;
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
+      if (IsIdentifierStart(c)) {
         size_t j = i;
-        while (j < input_.size() &&
-               (std::isalnum(static_cast<unsigned char>(input_[j])) ||
-                input_[j] == '_' || input_[j] == '\'')) {
-          ++j;
-        }
+        while (j < input_.size() && IsIdentifierChar(input_[j])) ++j;
         out.push_back({TokKind::kIdent,
                        std::string(input_.substr(i, j - i)), start});
         i = j;

@@ -1,5 +1,7 @@
 #include "lqdb/service/prepared_cache.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 namespace lqdb {
@@ -15,6 +17,37 @@ Result<std::shared_ptr<PreparedQuery>> PreparedQuery::Make(
   LQDB_ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(out->query_));
   out->bound_.emplace(std::move(bound));
   return out;
+}
+
+AnswerLookup PreparedQuery::FreshAnswer(
+    bool possible, uint64_t global_change,
+    const std::vector<uint64_t>& pred_change, std::optional<Relation>* hit) {
+  MutexLock lock(answers_mu_);
+  std::optional<Answer>& slot = answers_[possible ? 1 : 0];
+  if (!slot.has_value()) return AnswerLookup::kMiss;
+  const uint64_t version = slot->version;
+  const std::vector<PredId>& reads = bound().predicates();
+  // A relation beyond `pred_change` was never updated.
+  const bool fresh =
+      version >= global_change &&
+      std::all_of(reads.begin(), reads.end(), [&](PredId p) {
+        return p >= pred_change.size() || version >= pred_change[p];
+      });
+  if (!fresh) {
+    slot.reset();
+    return AnswerLookup::kStale;
+  }
+  hit->emplace(slot->relation);
+  return AnswerLookup::kHit;
+}
+
+bool PreparedQuery::StoreAnswer(bool possible, const Relation& answer,
+                                uint64_t version) {
+  MutexLock lock(answers_mu_);
+  std::optional<Answer>& slot = answers_[possible ? 1 : 0];
+  if (slot.has_value()) return false;
+  slot.emplace(Answer{answer, version});
+  return true;
 }
 
 std::shared_ptr<PreparedQuery> PreparedCache::Find(
@@ -53,13 +86,16 @@ std::shared_ptr<PreparedQuery> PreparedCache::Insert(
   return entry;
 }
 
-std::shared_ptr<PreparedQuery> PreparedCache::Resolve(PreparedHandle handle)
-    const {
-  if (handle == 0) return nullptr;
-  const Shard& shard = shards_[(handle - 1) % kShards];
-  MutexLock lock(shard.mu);
-  auto it = shard.by_handle.find(handle);
-  return it == shard.by_handle.end() ? nullptr : it->second;
+Result<std::shared_ptr<PreparedQuery>> PreparedCache::Resolve(
+    PreparedHandle handle) const {
+  if (handle != 0) {
+    const Shard& shard = shards_[(handle - 1) % kShards];
+    MutexLock lock(shard.mu);
+    auto it = shard.by_handle.find(handle);
+    if (it != shard.by_handle.end()) return it->second;
+  }
+  return Status::NotFound("no prepared query with handle " +
+                          std::to_string(handle));
 }
 
 size_t PreparedCache::size() const {

@@ -11,21 +11,19 @@ namespace lqdb {
 std::string EngineOptionsFingerprint(const EngineOptions& options) {
   // Everything here either changes an answer outright (the approximation
   // knobs select different sound approximations in principle) or flips an
-  // execution between an answer and `ResourceExhausted` (the budgets), or
-  // shapes the compiled plan cached inside the prepared statement (the
-  // join-order cap). Deliberately absent: `threads` and `steal_chunk`
-  // (answers are bit-identical across thread counts and chunk sizes — a
-  // candidate's membership is a property of the mapping space, not the
-  // traversal) and the kernel-memo toggle (memo-on ≡ memo-off is pinned by
-  // the differential suite).
+  // execution between an answer and `ResourceExhausted` (the mapping
+  // budget), or shapes the compiled plan cached inside the prepared
+  // statement (the join-order cap). Deliberately absent: `threads` and
+  // `steal_chunk` (answers are bit-identical across thread counts and chunk
+  // sizes — a candidate's membership is a property of the mapping space,
+  // not the traversal) and the kernel-memo toggle (memo-on ≡ memo-off is
+  // pinned by the differential suite).
   std::string key;
   key += "emm=" + std::to_string(options.exact.max_mappings);
   key += ";cap=" + std::to_string(options.exact.ra_dp_join_cap);
-  key += ";eso=" + std::to_string(options.exact.eval.max_so_tuple_space);
   key += ";aam=" + std::to_string(static_cast<int>(options.approx.alpha_mode));
   key += ";aen=" + std::to_string(static_cast<int>(options.approx.engine));
   key += ";ane=" + std::to_string(options.approx.materialize_ne ? 1 : 0);
-  key += ";aso=" + std::to_string(options.approx.eval.max_so_tuple_space);
   return key;
 }
 
@@ -62,11 +60,10 @@ ServiceStats Service::stats() const {
   out.memo_row_hits = memo_row_hits_.load();
   out.memo_row_misses = memo_row_misses_.load();
   out.memo_images_skipped = memo_images_skipped_.load();
-  const ResultCacheStats rc = results_.stats();
-  out.result_hits = rc.hits;
-  out.result_misses = rc.misses;
-  out.result_invalidations = rc.invalidations;
-  out.cached_results = rc.entries;
+  out.result_hits = result_hits_.load();
+  out.result_misses = result_misses_.load();
+  out.result_invalidations = result_invalidations_.load();
+  out.cached_results = cached_results_.load();
   {
     ReaderLock db_lock(db_mu_);
     out.db_version = db_version_;
@@ -123,10 +120,10 @@ Status Service::Retract(const std::string& pred,
 }
 
 Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
-    const std::string& engine, const EngineOptions& engine_options,
-    const std::string& text, PreparedInfo* info) {
+    const Session& session, const std::string& text, PreparedInfo* info) {
   prepares_.fetch_add(1, std::memory_order_relaxed);
-  const std::string options_key = EngineOptionsFingerprint(engine_options);
+  const std::string& engine = session.options_.engine;
+  const std::string& options_key = session.options_key_;
   PreparedHandle handle = 0;
   if (std::shared_ptr<PreparedQuery> hit =
           cache_.Find(engine, options_key, text, &handle)) {
@@ -147,7 +144,7 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
     if (db_->num_constants() != constants_before) {
       // Parsing interned a constant the database had never seen — even a
       // parse that then failed keeps it: `C` grew, and every Theorem 1
-      // answer quantifies over all of `C`, so every cached result is
+      // answer quantifies over all of `C`, so every stored answer is
       // potentially stale.
       ++db_version_;
       global_change_ = db_version_;
@@ -161,8 +158,8 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
     // recorded in the binding; a second-order body records "use the
     // Tarskian check". The session's join-order cap shapes the plan, so it
     // is part of the statement's options key.
-    const RaCardinalities stats =
-        RaCardinalitiesFor(*db_, engine_options.exact.ra_dp_join_cap);
+    const RaCardinalities stats = RaCardinalitiesFor(
+        *db_, session.options_.engine_options.exact.ra_dp_join_cap);
     (void)entry->mutable_bound()->CompileRaPlan(db_->vocab(), &stats);
   }
 
@@ -175,31 +172,21 @@ Result<std::shared_ptr<PreparedQuery>> Service::PrepareInternal(
 
 Result<PreparedInfo> Session::Prepare(const std::string& text) {
   PreparedInfo info;
-  LQDB_RETURN_IF_ERROR(service_
-                           ->PrepareInternal(options_.engine,
-                                             options_.engine_options, text,
-                                             &info)
-                           .status());
+  LQDB_RETURN_IF_ERROR(service_->PrepareInternal(*this, text, &info).status());
   prepares_.fetch_add(1, std::memory_order_relaxed);
   if (info.cache_hit) cache_hits_.fetch_add(1, std::memory_order_relaxed);
   return info;
 }
 
 Result<Relation> Session::Execute(PreparedHandle handle) {
-  std::shared_ptr<PreparedQuery> pq = service_->cache_.Resolve(handle);
-  if (pq == nullptr) {
-    return Status::NotFound("no prepared query with handle " +
-                            std::to_string(handle));
-  }
+  LQDB_ASSIGN_OR_RETURN(std::shared_ptr<PreparedQuery> pq,
+                        service_->cache_.Resolve(handle));
   return Run(*pq, /*possible=*/false);
 }
 
 Result<Relation> Session::ExecutePossible(PreparedHandle handle) {
-  std::shared_ptr<PreparedQuery> pq = service_->cache_.Resolve(handle);
-  if (pq == nullptr) {
-    return Status::NotFound("no prepared query with handle " +
-                            std::to_string(handle));
-  }
+  LQDB_ASSIGN_OR_RETURN(std::shared_ptr<PreparedQuery> pq,
+                        service_->cache_.Resolve(handle));
   return Run(*pq, /*possible=*/true);
 }
 
@@ -208,38 +195,43 @@ Result<Relation> Session::Query(const std::string& text) {
   return Execute(info.handle);
 }
 
-Result<Relation> Session::Run(const PreparedQuery& pq, bool possible) {
+Result<Relation> Session::Run(PreparedQuery& pq, bool possible) {
   // Lock order: database before session execution mutex, everywhere.
   ReaderLock db_lock(service_->db_mu_);
   MutexLock exec_lock(exec_mu_);
-  // The previous query's scratch (trace strings) dies here, so a
-  // long-lived session stays at one warm arena block.
-  arena_.Reset();
   last_trace_ = ExecutionTrace{};
-  last_trace_.query = arena_.CopyString(pq.text().c_str(), pq.text().size());
+  last_trace_.query = pq.text().c_str();
   // The engine that actually ran: a handle prepared on another session may
   // carry a different engine tag, but it executes on *this* session's.
-  last_trace_.engine = arena_.CopyString(options_.engine.c_str(),
-                                         options_.engine.size());
+  last_trace_.engine = options_.engine.c_str();
   last_trace_.possible = possible;
   executions_.fetch_add(1, std::memory_order_relaxed);
   service_->executions_.fetch_add(1, std::memory_order_relaxed);
 
-  const bool cacheable = options_.use_result_cache;
-  std::string key;
+  // The statement's slots hold answers of the engine and options it was
+  // prepared under, so a foreign handle runs uncached.
+  const bool cacheable = options_.use_result_cache &&
+                         pq.engine() == options_.engine &&
+                         pq.options_key() == options_key_;
   if (cacheable) {
-    // Keyed like the prepared-statement cache plus the answer mode; valid
-    // only while nothing the query reads has changed (checked against the
-    // change epochs, which the shared lock holds still).
-    key = options_.engine + '\n' + options_key_ + '\n' +
-          (possible ? "P\n" : "C\n") + pq.text();
-    std::optional<Relation> hit = service_->results_.Lookup(
-        key, service_->global_change_, service_->pred_change_);
-    if (hit.has_value()) {
-      last_trace_.ok = true;
-      last_trace_.cached = true;
-      return std::move(*hit);
+    // The shared lock holds the change epochs still.
+    std::optional<Relation> hit;
+    switch (pq.FreshAnswer(possible, service_->global_change_,
+                           service_->pred_change_, &hit)) {
+      case AnswerLookup::kHit:
+        service_->result_hits_.fetch_add(1, std::memory_order_relaxed);
+        last_trace_.ok = true;
+        last_trace_.cached = true;
+        return std::move(*hit);
+      case AnswerLookup::kStale:
+        service_->result_invalidations_.fetch_add(1,
+                                                  std::memory_order_relaxed);
+        service_->cached_results_.fetch_sub(1, std::memory_order_relaxed);
+        break;
+      case AnswerLookup::kMiss:
+        break;
     }
+    service_->result_misses_.fetch_add(1, std::memory_order_relaxed);
   }
 
   Result<Relation> out = possible ? engine_->PossibleAnswerBound(pq.bound())
@@ -253,22 +245,21 @@ Result<Relation> Session::Run(const PreparedQuery& pq, bool possible) {
   service_->memo_images_skipped_.fetch_add(last_trace_.memo.images_skipped,
                                            std::memory_order_relaxed);
   last_trace_.ok = out.ok();
-  if (cacheable && out.ok()) {
-    // Still under the shared lock, so the epochs cannot have moved since
-    // the engine read the database: the entry's version is exact.
-    service_->results_.Insert(key, *out, service_->db_version_,
-                              pq.bound().predicates());
+  // Still under the shared lock, so the epochs cannot have moved since the
+  // engine read the database: the stored version is exact.
+  if (cacheable && out.ok() &&
+      service_->cached_results_.load(std::memory_order_relaxed) <
+          Service::kMaxCachedResults &&
+      pq.StoreAnswer(possible, *out, service_->db_version_)) {
+    service_->cached_results_.fetch_add(1, std::memory_order_relaxed);
   }
   return out;
 }
 
 Result<AsyncExecution> Session::ExecuteAsync(PreparedHandle handle,
                                              bool possible) {
-  std::shared_ptr<PreparedQuery> pq = service_->cache_.Resolve(handle);
-  if (pq == nullptr) {
-    return Status::NotFound("no prepared query with handle " +
-                            std::to_string(handle));
-  }
+  LQDB_ASSIGN_OR_RETURN(std::shared_ptr<PreparedQuery> pq,
+                        service_->cache_.Resolve(handle));
   if (in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1 >
       options_.max_in_flight) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);

@@ -12,9 +12,7 @@
 #include "lqdb/engine/engine.h"
 #include "lqdb/relational/relation.h"
 #include "lqdb/service/prepared_cache.h"
-#include "lqdb/service/result_cache.h"
 #include "lqdb/util/annotations.h"
-#include "lqdb/util/arena.h"
 #include "lqdb/util/result.h"
 #include "lqdb/util/thread_pool.h"
 
@@ -45,7 +43,9 @@ struct ServiceStats {
   uint64_t retracts = 0;
   /// Database version: bumped by every applied update.
   uint64_t db_version = 0;
-  /// Result-cache traffic (see `ResultCache`).
+  /// Answers stored on prepared statements: executions served from them or
+  /// missing them, stale answers dropped, and answers stored now (see
+  /// `PreparedQuery::FreshAnswer`).
   uint64_t result_hits = 0;
   uint64_t result_misses = 0;
   uint64_t result_invalidations = 0;
@@ -65,8 +65,8 @@ struct SessionOptions {
   /// Cap on queued-or-running `ExecuteAsync` calls per session; one more
   /// fails with `ResourceExhausted` until a slot frees up.
   int max_in_flight = 4;
-  /// Serve (and feed) the service's cross-execution result cache. Answers
-  /// are identical either way — the cache never returns a stale result —
+  /// Serve (and feed) the answers stored on prepared statements. Answers
+  /// are identical either way — a stored answer is never served stale —
   /// so the toggle exists for A/B runs (`set memo off` in the shell
   /// disables both reuse levels).
   bool use_result_cache = true;
@@ -74,9 +74,10 @@ struct SessionOptions {
 
 /// Fingerprint of every `EngineOptions` field that can change an answer
 /// (or the answer-vs-error outcome) — the options part of the prepared-
-/// statement and result-cache keys. Fields that provably cannot change
-/// answers (thread count, the kernel memo toggle) are deliberately
-/// excluded so sessions differing only in them share cache entries.
+/// statement key, and so of the answers a statement stores. Fields that
+/// provably cannot change answers (thread count, the kernel memo toggle)
+/// are deliberately excluded so sessions differing only in them share
+/// statements and answers.
 std::string EngineOptionsFingerprint(const EngineOptions& options);
 
 /// Outcome of preparing a query on a session.
@@ -87,16 +88,17 @@ struct PreparedInfo {
   bool cache_hit = false;
 };
 
-/// What the session's most recent execution did. The strings live in the
-/// session's per-query arena: valid until the next execution begins.
+/// What the session's most recent execution did. `query` points at the
+/// statement's text and `engine` at the session's engine name; statements
+/// are never evicted, so both stay valid while the session lives.
 struct ExecutionTrace {
   const char* query = nullptr;
   const char* engine = nullptr;
   uint64_t mappings_examined = 0;
   bool possible = false;
   bool ok = false;
-  /// Served from the result cache (no engine ran; `mappings_examined` and
-  /// `memo` are zero).
+  /// Served from the answer stored on the statement (no engine ran;
+  /// `mappings_examined` and `memo` are zero).
   bool cached = false;
   /// The engine's kernel-memo counters for this execution.
   KernelMemoCounters memo;
@@ -115,12 +117,12 @@ struct AsyncExecution {
 
 /// One client's conversation with a `Service`: an engine choice plus
 /// per-session options, the engine instance (built when the session
-/// opens), a per-query scratch arena reset when each execution completes,
-/// and execution counters. Sessions are the unit of concurrency — any
-/// number may execute simultaneously against the shared database under
-/// its shared lock, while calls *within* one session serialize on its
-/// execution mutex (engines keep per-call state such as
-/// `last_mappings_examined` and are not internally thread-safe).
+/// opens), the most recent execution's trace, and execution counters.
+/// Sessions are the unit of concurrency — any number may execute
+/// simultaneously against the shared database under its shared lock,
+/// while calls *within* one session serialize on its execution mutex
+/// (engines keep per-call state such as `last_mappings_examined` and are
+/// not internally thread-safe).
 ///
 /// Obtained from `Service::OpenSession` and kept alive by `shared_ptr`;
 /// async executions extend the session's lifetime until they finish, but
@@ -131,7 +133,8 @@ class Session : public std::enable_shared_from_this<Session> {
   Session& operator=(const Session&) = delete;
 
   /// Parses, binds and RA-compiles `text` — or returns the cached
-  /// statement when any session already prepared it for this engine.
+  /// statement when any session already prepared it for this engine and
+  /// options fingerprint.
   Result<PreparedInfo> Prepare(const std::string& text);
 
   /// Runs a prepared statement on this session's engine; `NotFound` for a
@@ -181,14 +184,15 @@ class Session : public std::enable_shared_from_this<Session> {
         engine_(std::move(engine)) {}
 
   /// Locks the database shared, then the execution mutex, and runs one
-  /// execution: from the result cache when it holds a fresh answer, else on
-  /// the engine.
-  Result<Relation> Run(const PreparedQuery& pq, bool possible);
+  /// execution: from the answer stored on `pq` when it is fresh, else on
+  /// the engine. A statement prepared under another engine or options
+  /// fingerprint runs on this session's engine, uncached.
+  Result<Relation> Run(PreparedQuery& pq, bool possible);
 
   Service* service_;
   SessionOptions options_;
   /// `EngineOptionsFingerprint` of this session's engine options, computed
-  /// once — part of every prepared-statement and result-cache key.
+  /// once — part of every prepared-statement key this session looks up.
   std::string options_key_;
   EngineCapabilities caps_;
 
@@ -197,9 +201,6 @@ class Session : public std::enable_shared_from_this<Session> {
   Mutex exec_mu_;
   std::unique_ptr<QueryEngine> engine_ GUARDED_BY(exec_mu_);
 
-  /// Per-query scratch, reset when each execution completes (deeb's
-  /// arena-per-query model).
-  MemArena arena_ GUARDED_BY(exec_mu_);
   ExecutionTrace last_trace_ GUARDED_BY(exec_mu_);
 
   std::atomic<int> in_flight_{0};
@@ -210,7 +211,8 @@ class Session : public std::enable_shared_from_this<Session> {
 };
 
 /// The query service: many concurrent sessions over one logical database,
-/// sharing a prepared-statement cache and an async executor pool.
+/// sharing a prepared-statement cache (each statement carries its answers)
+/// and an async executor pool.
 ///
 /// Thread-safety contract. Engines only read the database. Its only
 /// writers are the parse of a prepare miss (parsing interns names into the
@@ -224,6 +226,11 @@ class Session : public std::enable_shared_from_this<Session> {
 /// so pending async executions finish (or resolve as cancelled) first.
 class Service {
  public:
+  /// At most this many answers are stored across all statements; a full
+  /// service stores no more. Concurrent stores may overshoot it by at most
+  /// one answer per executing session.
+  static constexpr size_t kMaxCachedResults = 4096;
+
   /// Borrows `db`, which must outlive the service. The database should not
   /// be touched directly while the service exists.
   explicit Service(CwDatabase* db, ServiceOptions options = {});
@@ -240,7 +247,7 @@ class Service {
   /// constant names as *known* constants (`Assert`) or removing a stored
   /// fact (`Retract`; `NotFound` when the predicate or fact is unknown).
   /// Either bumps the database version and the updated relation's change
-  /// epoch, so dependent cached results go stale — and, when an `Assert`
+  /// epoch, so dependent stored answers go stale — and, when an `Assert`
   /// grows the constant set, the global epoch, since the Theorem 1 answer
   /// of *every* query quantifies over all of `C`.
   Status Assert(const std::string& pred,
@@ -259,10 +266,10 @@ class Service {
  private:
   friend class Session;
 
-  /// The shared prepare path (see `Session::Prepare`).
+  /// The shared prepare path (see `Session::Prepare`), keyed by the
+  /// session's engine and options fingerprint.
   Result<std::shared_ptr<PreparedQuery>> PrepareInternal(
-      const std::string& engine, const EngineOptions& engine_options,
-      const std::string& text, PreparedInfo* info);
+      const Session& session, const std::string& text, PreparedInfo* info);
 
   /// Bumps the change epochs after a write to `pred` under the exclusive
   /// database lock; `constants_grew` additionally raises the global epoch.
@@ -276,7 +283,6 @@ class Service {
   mutable SharedMutex db_mu_;
 
   PreparedCache cache_;
-  ResultCache results_;
 
   /// Change epochs (written under the exclusive lock, read under shared):
   /// `db_version_` counts applied updates; `global_change_` /
@@ -298,6 +304,10 @@ class Service {
   std::atomic<uint64_t> async_executions_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<size_t> sessions_opened_{0};
+  std::atomic<uint64_t> result_hits_{0};
+  std::atomic<uint64_t> result_misses_{0};
+  std::atomic<uint64_t> result_invalidations_{0};
+  std::atomic<size_t> cached_results_{0};
 
   /// Declared last: destroyed first, draining queued async executions
   /// while the cache and counters above are still alive.

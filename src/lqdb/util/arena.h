@@ -10,16 +10,15 @@
 
 namespace lqdb {
 
-/// A block bump allocator for per-query scratch: allocations are pointer
+/// A block bump allocator for scratch memory: allocations are pointer
 /// bumps into a chain of fixed-size blocks, and `Reset()` recycles the
-/// whole chain at once instead of freeing object by object. The service
-/// layer gives every session one arena that is reset between queries — the
-/// deeb allocation model (a `Mem_Arena` per query, cleared on close) — so a
-/// long-lived session's per-query garbage never accumulates and the steady
-/// state allocates no new memory at all.
+/// whole chain at once instead of freeing object by object (the deeb
+/// allocation model, a `Mem_Arena` per query cleared on close). Its one
+/// user is `RaExecutor`, whose flat tables (`FlatTable`) take their row
+/// and slot arrays from the executor's arena, so the per-image table churn
+/// of the Theorem 1 sweep allocates no new memory in the steady state.
 ///
-/// Not thread-safe; each session owns its arena and serializes its own
-/// executions.
+/// Not thread-safe; each executor owns its arena.
 class MemArena {
  public:
   /// `block_bytes` is the size of each chained block; oversized requests

@@ -38,6 +38,28 @@ inline bool ParseStrictInt(std::string_view token, int* out,
   return true;
 }
 
+/// The one rule for names of constants and predicates, shared by the
+/// query lexer, the `.lqdb` text format and `CwDatabase::AddFact`, so every
+/// name a query or an update can intern is one `save` can write and `load`
+/// read back: a letter, digit or `_`, then letters, digits, `_` or primes
+/// (`x'`). ASCII only, independent of the locale.
+inline bool IsIdentifierStart(char ch) {
+  return (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+         (ch >= '0' && ch <= '9') || ch == '_';
+}
+
+inline bool IsIdentifierChar(char ch) {
+  return IsIdentifierStart(ch) || ch == '\'';
+}
+
+inline bool IsIdentifier(std::string_view name) {
+  if (name.empty() || !IsIdentifierStart(name.front())) return false;
+  for (char ch : name) {
+    if (!IsIdentifierChar(ch)) return false;
+  }
+  return true;
+}
+
 }  // namespace lqdb
 
 #endif  // LQDB_UTIL_PARSE_H_

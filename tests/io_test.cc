@@ -75,6 +75,7 @@ TEST(TextFormatTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseCwDatabase("fact P").ok());
   EXPECT_FALSE(ParseCwDatabase("distinct OnlyOne").ok());
   EXPECT_FALSE(ParseCwDatabase("distinct A A").ok());
+  EXPECT_FALSE(ParseCwDatabase("distinct a( b").ok());
   EXPECT_FALSE(ParseCwDatabase("predicate P").ok());
   EXPECT_FALSE(ParseCwDatabase("predicate P/x").ok());
   EXPECT_FALSE(ParseCwDatabase("known").ok());
@@ -125,6 +126,26 @@ TEST(TextFormatTest, FileRoundTrip) {
                        LoadCwDatabase(path));
   EXPECT_EQ(SerializeCwDatabase(*again), SerializeCwDatabase(*lb));
   std::remove(path.c_str());
+}
+
+// The query lexer and the text format share one identifier rule
+// (util/parse.h), so a constant a query interns, such as the primed `B'`,
+// is one `save` can write and `load` read back.
+TEST(TextFormatTest, ConstantsAQueryInternsRoundTrip) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<CwDatabase> lb,
+                       ParseCwDatabase(kSample));
+  ASSERT_OK_AND_ASSIGN(
+      Query query,
+      ParseQuery(lb->mutable_vocab(), "(x) . MURDERER(x) | x = B'"));
+  (void)query;
+  ASSERT_NE(lb->vocab().FindConstant("B'"), Vocabulary::kNotFound);
+
+  const std::string text = SerializeCwDatabase(*lb);
+  auto again = ParseCwDatabase(text);
+  ASSERT_TRUE(again.ok()) << again.status() << "\n" << text;
+  EXPECT_NE((*again)->vocab().FindConstant("B'"), Vocabulary::kNotFound);
+  EXPECT_EQ((*again)->num_constants(), lb->num_constants());
+  EXPECT_EQ(SerializeCwDatabase(**again), text);
 }
 
 TEST(TextFormatTest, LoadMissingFileFails) {

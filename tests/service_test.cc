@@ -512,6 +512,65 @@ TEST(ResultCacheTest, BudgetOptionsAreCacheKeyed) {
   EXPECT_EQ(again, answer);
 }
 
+// A statement's answer slots belong to the engine and options fingerprint
+// it was prepared under. A handle prepared on a `physical` session still
+// runs on an `exact` session's engine, but uncached: the exact session is
+// never served the naive answer stored on the statement.
+TEST(ResultCacheTest, ForeignHandleRunsUncachedOnTheSessionsEngine) {
+  auto lb = MurderDb();
+  Service service(lb.get());
+  SessionOptions physical_options;
+  physical_options.engine = "physical";
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> physical,
+                       service.OpenSession(physical_options));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> exact, service.OpenSession());
+
+  ASSERT_OK_AND_ASSIGN(PreparedInfo info,
+                       physical->Prepare("(x) . !MURDERER(x)"));
+  ASSERT_OK_AND_ASSIGN(Relation naive, physical->Execute(info.handle));
+  EXPECT_EQ(naive.size(), 2u);  // {Victoria, Disraeli}: Jack read as fresh
+
+  const ConstId victoria = lb->vocab().FindConstant("Victoria");
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_OK_AND_ASSIGN(Relation certain, exact->Execute(info.handle));
+    EXPECT_FALSE(exact->last_trace().cached) << "run " << run;
+    EXPECT_STREQ(exact->last_trace().engine, "exact");
+    EXPECT_EQ(certain.size(), 1u);  // {Victoria}
+    EXPECT_TRUE(certain.Contains({victoria}));
+  }
+
+  ASSERT_OK_AND_ASSIGN(Relation again, physical->Execute(info.handle));
+  EXPECT_TRUE(physical->last_trace().cached);
+  EXPECT_EQ(again, naive);
+}
+
+// Assert interns only names the text format can write back: the query
+// lexer's identifier rule (util/parse.h). A rejected update leaves the
+// vocabulary and the database version as they were.
+TEST(ServiceTest, AssertRejectsNamesTheTextFormatCannotSpell) {
+  auto lb = MurderDb();
+  Service service(lb.get());
+  const size_t constants = lb->num_constants();
+  const size_t predicates = lb->vocab().num_predicates();
+
+  for (const std::string& bad : {"a b", "x)y(B", "'a", ""}) {
+    EXPECT_EQ(service.Assert("MURDERER", {bad}).code(),
+              StatusCode::kInvalidArgument)
+        << "constant '" << bad << "'";
+  }
+  for (const std::string& bad : {"P(", ""}) {
+    EXPECT_EQ(service.Assert(bad, {"Victoria"}).code(),
+              StatusCode::kInvalidArgument)
+        << "predicate '" << bad << "'";
+  }
+  EXPECT_EQ(lb->num_constants(), constants);
+  EXPECT_EQ(lb->vocab().num_predicates(), predicates);
+  EXPECT_EQ(service.db_version(), 0u);
+
+  ASSERT_OK(service.Assert("MURDERER", {"Disraeli'"}));
+  EXPECT_NE(lb->vocab().FindConstant("Disraeli'"), Vocabulary::kNotFound);
+}
+
 // Kernel-memo counters flow from the engines through the trace into the
 // service-wide stats.
 TEST(ServiceTest, MemoCountersSurfaceInStats) {

@@ -39,6 +39,15 @@ one-compile-site
     sites that missed a prepared statement's plan. A query becomes its
     per-image check, reduced and validated, in one place.
 
+one-identifier-rule
+    A call to ``isalnum`` inside src/lqdb outside util/parse.h. The query
+    lexer and the text format once spelled "identifier" differently (the
+    lexer accepted primes, the format did not) and ``AddFact`` checked
+    nothing, so a query or an update could intern a name that ``save``
+    wrote and ``load`` then rejected or split. Names are checked with
+    ``IsIdentifierStart`` / ``IsIdentifierChar`` / ``IsIdentifier`` from
+    lqdb/util/parse.h.
+
 Suppression: append ``// lint:allow(<rule>)`` to the offending line.
 
 Exit status: 0 when clean, 1 when any finding fires, 2 on usage errors.
@@ -64,6 +73,9 @@ SWEEP_LOOP_HOMES = (
 
 # The only files under src/lqdb that may reduce or validate a plan.
 COMPILE_SITE_HOMES = ("src/lqdb/ra/", "src/lqdb/eval/bound_query.cc")
+
+# The one file under src/lqdb that spells what a name may contain.
+IDENTIFIER_RULE_HOME = "src/lqdb/util/parse.h"
 
 RULES = [
     {
@@ -118,6 +130,14 @@ RULES = [
                    "ra_plan()/ra_reduced(), lqdb/eval/bound_query.h)",
         "applies": lambda rel: (rel.startswith("src/lqdb/")
                                 and not rel.startswith(COMPILE_SITE_HOMES)),
+    },
+    {
+        "name": "one-identifier-rule",
+        "regex": re.compile(r"\bisalnum\s*\("),
+        "message": "hand-rolled identifier check (use IsIdentifierStart/"
+                   "IsIdentifierChar/IsIdentifier from lqdb/util/parse.h)",
+        "applies": lambda rel: (rel.startswith("src/lqdb/")
+                                and rel != IDENTIFIER_RULE_HOME),
     },
 ]
 
