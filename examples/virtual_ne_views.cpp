@@ -6,9 +6,9 @@
 //     NE(x, y) ≡ NE'(x, y) ∨ (¬U(x) ∧ ¬U(y) ∧ ¬(x = y))
 //
 // so that the stored footprint is O(|U| + |NE'|) instead of O(|C|²). This
-// example shows the whole pipeline: the relational-algebra plan, the SQL a
-// stock RDBMS would run, and the storage gap between materialized and
-// virtual NE.
+// example shows the whole pipeline: Q̂, the relational-algebra plan it
+// compiles to, the answer that plan computes on the relational executor,
+// and the storage gap between materialized and virtual NE.
 #include <cstdio>
 
 #include "lqdb/approx/approx.h"
@@ -19,7 +19,6 @@
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/executor.h"
-#include "lqdb/ra/sql.h"
 #include "lqdb/util/table.h"
 
 using namespace lqdb;
@@ -67,8 +66,6 @@ int main() {
   auto plan = compiler.Compile(tq->query);
   std::printf("relational-algebra plan:\n%s\n",
               plan.value()->ToString(lprime).c_str());
-  std::printf("equivalent SQL (alpha_VIP as a materialized view):\n%s\n\n",
-              EmitSql(lprime, plan.value()).c_str());
 
   auto answer = approx.value()->Answer(q.value());
   PhysicalDatabase ph1 = MakePh1(lb);

@@ -50,7 +50,6 @@
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/executor.h"
 #include "lqdb/ra/plan.h"
-#include "lqdb/ra/sql.h"
 #include "lqdb/reductions/coloring.h"
 #include "lqdb/reductions/graph.h"
 #include "lqdb/reductions/qbf.h"

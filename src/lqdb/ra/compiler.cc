@@ -367,20 +367,11 @@ Result<PlanPtr> RaCompiler::OrderJoinsDp(const std::vector<PlanPtr>& plans) {
 }
 
 std::string RaCompiler::AnnotatePlan(const PlanPtr& plan) {
-  std::string out;
-  std::function<void(const PlanPtr&, int)> walk = [&](const PlanPtr& p,
-                                                      int indent) {
-    out.append(static_cast<size_t>(indent) * 2, ' ');
-    out += p->NodeLabel(*vocab_);
-    char est[32];
-    std::snprintf(est, sizeof(est), "%.3g", Estimate(p));
-    out += "  ~";
-    out += est;
-    out += " rows\n";
-    for (const auto& c : p->children()) walk(c, indent + 1);
-  };
-  walk(plan, 0);
-  return out;
+  return plan->ToString(*vocab_, [this](const PlanPtr& node) {
+    char est[48];
+    std::snprintf(est, sizeof(est), "  ~%.3g rows", Estimate(node));
+    return std::string(est);
+  });
 }
 
 Result<PlanPtr> RaCompiler::CompileOr(const FormulaPtr& f) {

@@ -82,12 +82,8 @@ class RaCompiler {
   /// Compiles a formula; the plan's schema is the formula's free variables.
   Result<PlanPtr> CompileFormula(const FormulaPtr& f);
 
-  /// Estimated output cardinality of `plan` under the compiler's
-  /// statistics (public for `explain`-style plan annotation).
-  double EstimatePlan(const PlanPtr& plan) { return Estimate(plan); }
-
-  /// Indented plan dump annotated with per-node cardinality estimates
-  /// (`~N rows`), for the shell's `explain`.
+  /// `Plan::ToString` with each node's cardinality estimate (`~N rows`)
+  /// as its suffix, for the shell's `explain`.
   std::string AnnotatePlan(const PlanPtr& plan);
 
   /// Join-ordering decisions recorded by the `Compile*` calls so far.
@@ -135,6 +131,9 @@ class RaCompiler {
 
   const Vocabulary* vocab_;
   RaCardinalities stats_;
+  // Keyed by the owning pointer, not the node's address: an entry keeps its
+  // node alive, so no later node can reuse the address and read a stale
+  // estimate.
   std::unordered_map<PlanPtr, double> estimate_cache_;
   std::vector<JoinOrderInfo> join_order_log_;
 };

@@ -16,8 +16,8 @@ namespace lqdb {
 /// Theorem 1 inner loop is pointer bumps, not malloc/free: `Reset()` keeps
 /// the row and slot arrays and only clears the occupancy, and growth
 /// re-allocates from the arena (the abandoned arrays stay in the arena
-/// until its owner resets it — bounded by doubling, and the executor never
-/// resets its arena mid-lifetime, so steady state allocates nothing).
+/// until it is destroyed — bounded by doubling, so steady state allocates
+/// nothing).
 ///
 /// Row indices are `uint32_t`; `kNone` marks an empty slot. Not
 /// thread-safe.

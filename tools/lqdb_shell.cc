@@ -18,7 +18,6 @@
 // Run `help` inside the shell for the command list. A script path may be
 // passed as argv[1]; with `--batch` the shell exits at end of input
 // instead of switching to stdin.
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -41,7 +40,6 @@
 #include "lqdb/logic/printer.h"
 #include "lqdb/ra/compiler.h"
 #include "lqdb/ra/semijoin.h"
-#include "lqdb/ra/sql.h"
 #include "lqdb/ra/validate.h"
 #include "lqdb/service/service.h"
 #include "lqdb/util/parse.h"
@@ -56,6 +54,11 @@ namespace {
 unsigned long long Ull(uint64_t v) {
   return static_cast<unsigned long long>(v);
 }
+
+// Largest `set threads` value. The next query's session starts that many
+// OS threads, so a huge count would end the shell on an exception instead
+// of a Status.
+constexpr unsigned long long kMaxThreads = 256;
 
 constexpr const char* kHelp = R"(commands:
   load FILE              load a database (lqdb text format)
@@ -85,16 +88,19 @@ constexpr const char* kHelp = R"(commands:
   engines                list registered engines and their capabilities
   set engine NAME        select the engine used by `query`
   set threads N          worker threads of the exact engines' Theorem 1
-                         sweep (0 = hardware; answers are identical)
+                         sweep (0 = hardware, at most 256; answers are
+                         identical)
   set max_mappings N     Theorem 1 enumeration budget per query
   set join_cap N         DP join-order cap (0 = always greedy)
   set memo on|off        kernel-verdict memoization and the cross-query
                          result cache (on by default; identical answers)
-  plan QUERY             show Q^, its relational-algebra plan and SQL
+  plan QUERY             show Q^ and its relational-algebra plan
   explain QUERY          how the compiled path evaluates QUERY: its plan
-                         annotated with per-node cardinality estimates,
-                         the join-order decisions, plan size and SQL (or
-                         the fallback it takes)
+                         annotated with per-node cardinality estimates
+                         (a shared subplan prints once; later references
+                         repeat its #k), the join-order decisions, plan
+                         size and validator verdicts (or the fallback it
+                         takes)
   help                   this text
   quit                   leave
 query syntax:  (x, y) . exists z. R(x, z) & !S(z, y)   or a sentence)";
@@ -230,9 +236,9 @@ class Shell {
       std::printf("engine = %s\n", engine_name_.c_str());
     } else if (key == "threads") {
       unsigned long long threads = 0;
-      if (!ParseStrictUint(value, &threads) || threads > INT_MAX) {
+      if (!ParseStrictUint(value, &threads) || threads > kMaxThreads) {
         Report(Status::InvalidArgument(
-            "set threads expects a nonnegative integer (0 = hardware)"));
+            "set threads expects an integer in [0, 256] (0 = hardware)"));
         return;
       }
       options_.exact.threads = static_cast<int>(threads);
@@ -304,7 +310,7 @@ class Shell {
 
   /// `explain`: how the exact engine would evaluate the query — the
   /// compiled relational-algebra plan (join-ordered against the loaded
-  /// database's cardinalities), its DAG size, and its SQL rendering.
+  /// database's cardinalities) and its DAG size.
   /// Queries outside the compilable first-order fragment report the
   /// fallback the exact engine takes instead.
   void Explain(const std::string& text) {
@@ -328,8 +334,7 @@ class Shell {
                   jo.estimated_rows);
     }
     std::printf("join_cap: %zu\n", options_.exact.ra_dp_join_cap);
-    std::printf("nodes: %zu unique (%zu as a tree)\n",
-                plan.value()->NumUniqueNodes(), plan.value()->NumNodes());
+    std::printf("nodes: %zu unique\n", plan.value()->NumUniqueNodes());
     // The static plan validator's verdict (see src/lqdb/ra/validate.h) on
     // the compiled plan and on its semijoin-reduced form — the shapes the
     // exact engine actually executes.
@@ -345,7 +350,6 @@ class Shell {
       std::printf("validator (reduced): %s\n",
                   rverdict.ok() ? "OK" : rverdict.ToString().c_str());
     }
-    std::printf("SQL:\n%s\n", EmitSql(lb_->vocab(), plan.value()).c_str());
   }
 
   void RunQuery(const std::string& command, const std::string& text) {
@@ -364,7 +368,6 @@ class Shell {
       auto plan = compiler.Compile(tq->query);
       if (!plan.ok()) return Report(plan.status());
       std::printf("%s", plan.value()->ToString(lprime).c_str());
-      std::printf("SQL:\n%s\n", EmitSql(lprime, plan.value()).c_str());
       return;
     }
     Session* session = command == "query" ? CurrentSession()
