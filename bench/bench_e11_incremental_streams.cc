@@ -1,11 +1,13 @@
 // E11 — Incremental re-evaluation: kernel-class verdict memoization and
 // the relation-keyed result cache under three client streams.
 //
-// The streams, each run twice — `/reuse` (kernel memo + result cache on,
-// the defaults) against `/baseline` (both off) — on identical scenario
-// worlds (src/lqdb/gen/scenario.h), sparse enough that most constants
-// appear in no fact (one big interchangeability class, the memo's
-// compression source):
+// The streams, each run twice — `/reuse` (kernel memo + result cache on;
+// the result cache is a session default, the memo is forced on here
+// because the `exact` engine's compiled check runs without it by default)
+// against `/baseline` (both off) — on identical scenario worlds
+// (src/lqdb/gen/scenario.h), sparse enough that most constants appear in
+// no fact (one big interchangeability class, the memo's compression
+// source):
 //
 //   - `repeated`:  the same query pool replayed round after round with no
 //     updates in between. Reuse serves every round after the first from

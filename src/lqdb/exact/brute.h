@@ -27,8 +27,10 @@ uint64_t SaturatingPower(uint64_t base, uint64_t exp);
 /// win of canonicalization (bench E7). Calls fail with `ResourceExhausted`
 /// up front when `|C|^|C|` exceeds `options.max_mappings`. The walk is in
 /// order, so `options.threads` is forced to 1. The enumeration revisits
-/// each kernel partition many times, so the kernel memo (`options.memo`)
-/// pays off even more than on the canonical sweep.
+/// each kernel partition many times, so the kernel memo, which its
+/// Tarskian check runs with unless `options.memo` turns it off, pays off
+/// even more than on the canonical sweep (bench E7's all-functions rows
+/// take about twice as long without it).
 class BruteForceEvaluator : public ExactEvaluator {
  public:
   explicit BruteForceEvaluator(const CwDatabase* lb,

@@ -39,10 +39,15 @@ struct ExactOptions {
   /// Kernel-class verdict memoization (eval/kernel_memo.h): per-mapping
   /// signatures over the query-relevant constants let signature-equivalent
   /// images share candidate verdicts within one call, skipping the image
-  /// check entirely on a full hit. Answers are bit-identical either way
-  /// (pinned by the differential suite); the toggle exists for A/B runs
-  /// (`set memo on|off` in the shell).
-  bool memo = true;
+  /// check entirely on a full hit. Unset, the sweep picks it by its
+  /// per-image check. The Tarskian check runs with it: a full hit skips
+  /// building the image and evaluating the query on it. The compiled check
+  /// runs without it: it reads `Ph₁(LB)` through each mapping instead of
+  /// building an image, so the signature, intern and per-candidate lookups
+  /// cost more than the plan executions they skip. `true` or `false`
+  /// forces the memo on or off for either check. Answers are bit-identical
+  /// either way (pinned by the differential suite).
+  std::optional<bool> memo;
   /// Worker threads of the canonical-mapping sweep; 0 means
   /// `ThreadPool::DefaultThreads()`. At 1 the mappings are walked in order
   /// on the calling thread; otherwise the engine keeps a pool and the

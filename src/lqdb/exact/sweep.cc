@@ -30,11 +30,12 @@ Status BudgetExceeded(uint64_t max_mappings) {
 /// One sweep's kernel memo: the verdict table and the query's signature
 /// context. Every worker shares both — table reads are lock-free and the
 /// context is immutable after construction — and brings its own scratch.
+/// Unless `ExactOptions::memo` forces it, the memo is on exactly for the
+/// Tarskian check, the one whose full hit skips building an image.
 struct KernelMemoState {
-  KernelMemoState(const CwDatabase& lb, const BoundQuery& bound,
-                  const ExactOptions& options)
-      : memo(options.memo) {
-    if (memo.enabled()) ctx.emplace(lb, bound.constants());
+  explicit KernelMemoState(const SweepSpec& spec)
+      : memo(spec.options->memo.value_or(spec.plan == nullptr)) {
+    if (memo.enabled()) ctx.emplace(*spec.lb, spec.bound->constants());
   }
 
   KernelMemo memo;
@@ -59,10 +60,11 @@ class Checker {
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
-  /// The memo step: sets `verdicts()[k]` to whether candidate
-  /// `candidates[subset[k]]` (`candidates[k]` for a null `subset`) holds in
-  /// the image of `h`, serving what it can from the kernel memo — a full
-  /// hit skips the image entirely — and checking only the misses, whose
+  /// Sets `verdicts()[k]` to whether candidate `candidates[subset[k]]`
+  /// (`candidates[k]` for a null `subset`) holds in the image of `h`.
+  /// Without the kernel memo every candidate is checked in the image
+  /// directly. With it, the memo step serves what it can from the memo — a
+  /// full hit skips the image entirely — and checks only the misses, whose
   /// verdicts it records. A memo-served verdict is still *this* `h`'s
   /// verdict: its image is isomorphic to the one the verdict came from.
   Status Check(const ConstMapping& h, const std::vector<Tuple>& candidates,
@@ -399,7 +401,7 @@ Status RunSweep(const SweepSpec& spec, std::vector<Tuple> candidates,
           "|C|^|C| exceeds max_mappings; use ExactEvaluator");
     }
   }
-  KernelMemoState memo(lb, *spec.bound, *spec.options);
+  KernelMemoState memo(spec);
   // The compiled check reads one shared Ph₁(LB) through each mapping.
   std::optional<PhysicalDatabase> ph1;
   if (spec.plan != nullptr) ph1.emplace(MakePh1(lb));

@@ -58,8 +58,11 @@ struct SweepResult {
 /// The one Theorem 1 loop behind every exact engine: for each mapping `h`
 /// of the source, check the open candidates in `h(Ph₁(LB))`, decide the
 /// ones `h` settles, and stop once none is open. It owns the
-/// `max_mappings` budget, error capture, the kernel-memo step (signature →
-/// row lookups → check only the misses → insert) and the decisive mapping.
+/// `max_mappings` budget, error capture, the decisive mapping and the
+/// kernel-memo step (signature → row lookups → check only the misses →
+/// insert), which by default runs only with the Tarskian check (see
+/// `ExactOptions::memo`); without it every mapping checks its open
+/// candidates directly.
 /// The answer is order-independent — a candidate's membership is a
 /// property of the mapping space — so it is identical for every source
 /// order, thread count and memo setting; which mapping is reported as

@@ -245,15 +245,19 @@ Result<Relation> Session::Run(PreparedQuery& pq, bool possible) {
   service_->memo_images_skipped_.fetch_add(last_trace_.memo.images_skipped,
                                            std::memory_order_relaxed);
   last_trace_.ok = out.ok();
+  // Returning the relation rather than `out` itself keeps `out` out of the
+  // return slot the cached-answer return above also writes; sharing it
+  // made gcc 12 warn -Wfree-nonheap-object on `out`'s destructor.
+  if (!out.ok()) return out.status();
   // Still under the shared lock, so the epochs cannot have moved since the
   // engine read the database: the stored version is exact.
-  if (cacheable && out.ok() &&
+  if (cacheable &&
       service_->cached_results_.load(std::memory_order_relaxed) <
           Service::kMaxCachedResults &&
       pq.StoreAnswer(possible, *out, service_->db_version_)) {
     service_->cached_results_.fetch_add(1, std::memory_order_relaxed);
   }
-  return out;
+  return std::move(*out);
 }
 
 Result<AsyncExecution> Session::ExecuteAsync(PreparedHandle handle,

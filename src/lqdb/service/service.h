@@ -51,7 +51,8 @@ struct ServiceStats {
   uint64_t result_invalidations = 0;
   size_t cached_results = 0;
   /// Kernel-memo traffic aggregated over every execution the service ran
-  /// (see `KernelMemoCounters`).
+  /// (see `KernelMemoCounters`); sweeps that ran without the memo — by
+  /// default every compiled-check sweep (`ExactOptions::memo`) — add none.
   uint64_t memo_row_hits = 0;
   uint64_t memo_row_misses = 0;
   uint64_t memo_images_skipped = 0;
@@ -65,10 +66,11 @@ struct SessionOptions {
   /// Cap on queued-or-running `ExecuteAsync` calls per session; one more
   /// fails with `ResourceExhausted` until a slot frees up.
   int max_in_flight = 4;
-  /// Serve (and feed) the answers stored on prepared statements. Answers
-  /// are identical either way — a stored answer is never served stale —
-  /// so the toggle exists for A/B runs (`set memo off` in the shell
-  /// disables both reuse levels).
+  /// Serve (and feed) the answers stored on prepared statements — the
+  /// cross-query result cache. Answers are identical either way — a stored
+  /// answer is never served stale — so the toggle exists for A/B runs
+  /// (`set memo on|off` in the shell switches this and nothing else; the
+  /// kernel memo is `engine_options.exact.memo`).
   bool use_result_cache = true;
 };
 
@@ -100,7 +102,8 @@ struct ExecutionTrace {
   /// Served from the answer stored on the statement (no engine ran;
   /// `mappings_examined` and `memo` are zero).
   bool cached = false;
-  /// The engine's kernel-memo counters for this execution.
+  /// The engine's kernel-memo counters for this execution (zeros when its
+  /// sweep ran without the memo).
   KernelMemoCounters memo;
 };
 

@@ -594,15 +594,15 @@ TEST(DifferentialTest, ConcurrentSessionsMatchSequentialReplay) {
   }
 }
 
-/// The memoization dimension: every engine with the kernel memo enabled
-/// (the default) must produce answers bit-identical to the memo-off
-/// configuration on every instance the suite generates — the same 268
-/// (profile, seed) pairs the other dimensions sweep. An unsound signature
-/// (one that identifies non-isomorphic images) would surface here as a
-/// wrong reused verdict; see kernel_memo.h for the counterexample that
-/// killed the naive block-size signature. The sweep also asserts the memo
-/// actually engaged (hits accumulated somewhere), so the comparison can
-/// never silently degenerate into memo-off vs memo-off.
+/// The memoization dimension: every engine with the kernel memo forced on
+/// (by default only the Tarskian check runs with it) must produce answers
+/// bit-identical to the memo-off configuration on every instance the suite
+/// generates — the same 268 (profile, seed) pairs the other dimensions
+/// sweep. An unsound signature (one that identifies non-isomorphic images)
+/// would surface here as a wrong reused verdict; see kernel_memo.h for the
+/// counterexample that killed the naive block-size signature. The sweep
+/// also asserts the memo actually engaged (hits accumulated somewhere), so
+/// the comparison can never silently degenerate into memo-off vs memo-off.
 TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
   struct Sweep {
     InstanceProfile profile;
@@ -614,6 +614,8 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       {InstanceProfile::kBinary, 30}, {InstanceProfile::kFullySpecified, 40},
       {InstanceProfile::kPositive, 40}, {InstanceProfile::kTiny, 8},
   };
+  EngineOptions memo_engine;
+  memo_engine.exact.memo = true;
   uint64_t instances = 0;
   uint64_t total_hits = 0;
   for (const Sweep& sweep : sweeps) {
@@ -631,7 +633,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
                            baseline.PossibleAnswer(instance.query));
       EXPECT_EQ(baseline.last_memo_counters().row_hits, 0u);
 
-      ExactEvaluator memo_exact(instance.db.get());  // memo on by default
+      ExactEvaluator memo_exact(instance.db.get(), memo_engine.exact);
       ASSERT_OK_AND_ASSIGN(Relation exact_answer,
                            memo_exact.Answer(instance.query));
       EXPECT_EQ(exact_answer, baseline_answer)
@@ -653,7 +655,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
       BruteForceEvaluator brute_baseline(instance.db.get(), brute_off);
       ASSERT_OK_AND_ASSIGN(Relation brute_answer,
                            brute_baseline.Answer(instance.query));
-      BruteForceEvaluator brute_memo(instance.db.get());
+      BruteForceEvaluator brute_memo(instance.db.get(), memo_engine.exact);
       ASSERT_OK_AND_ASSIGN(Relation brute_memo_answer,
                            brute_memo.Answer(instance.query));
       EXPECT_EQ(brute_memo_answer, brute_answer)
@@ -663,7 +665,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
 
       // The shared-table concurrent path and the compiled-plan path, both
       // memo-on, against the memo-off sequential baseline.
-      EngineOptions popts;
+      EngineOptions popts = memo_engine;
       popts.exact.threads = 4;
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
                            EngineRegistry::Global().Create(
@@ -676,7 +678,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
 
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
                            EngineRegistry::Global().Create(
-                               "exact", instance.db.get()));
+                               "exact", instance.db.get(), memo_engine));
       ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
       EXPECT_EQ(ra_answer, baseline_answer)
           << AnswerDiff(*instance.db, "ra-memo", ra_answer, "no-memo",
@@ -692,7 +694,8 @@ TEST(DifferentialTest, MemoizedAgreesOnAllInstances) {
 /// mass under one kernel-class subtree (many signature-equivalent
 /// mappings — maximal reuse), kLarge runs the generated scenario worlds
 /// where an unsound interchangeability class would have room to hide.
-/// Brute is excluded: its full mapping space is intractable here.
+/// Brute is excluded: its full mapping space is intractable here. As above,
+/// the memo must actually engage somewhere.
 TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
   struct Sweep {
     InstanceProfile profile;
@@ -702,6 +705,9 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       {InstanceProfile::kSkewed, 20},
       {InstanceProfile::kLarge, 6},
   };
+  EngineOptions memo_engine;
+  memo_engine.exact.memo = true;
+  uint64_t total_hits = 0;
   for (const Sweep& sweep : sweeps) {
     for (uint64_t seed = 0; seed < sweep.seeds; ++seed) {
       DifferentialInstance instance = MakeInstance(seed, sweep.profile);
@@ -713,23 +719,25 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       ASSERT_OK_AND_ASSIGN(Relation baseline_answer,
                            baseline.Answer(instance.query));
 
-      ExactEvaluator memo_exact(instance.db.get());
+      ExactEvaluator memo_exact(instance.db.get(), memo_engine.exact);
       ASSERT_OK_AND_ASSIGN(Relation exact_answer,
                            memo_exact.Answer(instance.query));
       EXPECT_EQ(exact_answer, baseline_answer)
           << AnswerDiff(*instance.db, "memo", exact_answer, "no-memo",
                         baseline_answer);
+      total_hits += memo_exact.last_memo_counters().row_hits;
 
       ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> ra,
                            EngineRegistry::Global().Create(
-                               "exact", instance.db.get()));
+                               "exact", instance.db.get(), memo_engine));
       ASSERT_OK_AND_ASSIGN(Relation ra_answer, ra->Answer(instance.query));
       EXPECT_EQ(ra_answer, baseline_answer)
           << AnswerDiff(*instance.db, "ra-memo", ra_answer, "no-memo",
                         baseline_answer);
+      total_hits += ra->last_memo_counters().row_hits;
 
       if (sweep.profile == InstanceProfile::kSkewed) {
-        EngineOptions popts;
+        EngineOptions popts = memo_engine;
         popts.exact.threads = 8;
         ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryEngine> parallel,
                              EngineRegistry::Global().Create(
@@ -742,6 +750,7 @@ TEST(DifferentialTest, MemoizedAgreesOnAdversarialProfiles) {
       }
     }
   }
+  EXPECT_GT(total_hits, 0u);
 }
 
 /// First-principles cross-check on tiny instances: membership according to

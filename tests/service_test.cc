@@ -572,12 +572,15 @@ TEST(ServiceTest, AssertRejectsNamesTheTextFormatCannotSpell) {
 }
 
 // Kernel-memo counters flow from the engines through the trace into the
-// service-wide stats.
+// service-wide stats. The session forces the memo on: the compiled check
+// runs without it by default.
 TEST(ServiceTest, MemoCountersSurfaceInStats) {
   auto lb = SlowDb();
   Service service(lb.get());
+  SessionOptions options;
+  options.engine_options.exact.memo = true;
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> session,
-                       service.OpenSession());
+                       service.OpenSession(options));
   ASSERT_OK_AND_ASSIGN(Relation answer, session->Query("(x) . P0(x)"));
   (void)answer;
   const KernelMemoCounters& memo = session->last_trace().memo;
@@ -585,6 +588,37 @@ TEST(ServiceTest, MemoCountersSurfaceInStats) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.memo_row_hits, memo.row_hits);
   EXPECT_EQ(stats.memo_row_misses, memo.row_misses);
+}
+
+// Unless a session sets `ExactOptions::memo`, the sweep picks the kernel
+// memo by its per-image check: the compiled check (`exact` on a
+// first-order query) runs without it, so neither the trace nor the service
+// records memo traffic; the Tarskian check (`batched-exact`) runs with it.
+TEST(ServiceTest, DefaultSessionsMemoizeOnlyTheTarskianCheck) {
+  EXPECT_FALSE(ExactOptions{}.memo.has_value());
+  auto lb = SlowDb();
+  Service service(lb.get());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> compiled,
+                       service.OpenSession());
+  ASSERT_OK_AND_ASSIGN(Relation answer, compiled->Query("(x) . P0(x)"));
+  const ExecutionTrace& trace = compiled->last_trace();
+  EXPECT_FALSE(trace.cached);
+  EXPECT_GT(trace.mappings_examined, 0u);
+  EXPECT_EQ(trace.memo.row_hits + trace.memo.row_misses, 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.memo_row_hits + stats.memo_row_misses, 0u);
+  EXPECT_EQ(stats.memo_images_skipped, 0u);
+
+  SessionOptions options;
+  options.engine = "batched-exact";
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Session> tarskian,
+                       service.OpenSession(options));
+  ASSERT_OK_AND_ASSIGN(Relation tarskian_answer,
+                       tarskian->Query("(x) . P0(x)"));
+  EXPECT_EQ(tarskian_answer, answer);
+  EXPECT_FALSE(tarskian->last_trace().cached);
+  const KernelMemoCounters& memo = tarskian->last_trace().memo;
+  EXPECT_GT(memo.row_hits + memo.row_misses, 0u);
 }
 
 }  // namespace

@@ -297,6 +297,42 @@ stats
   EXPECT_NE(out.find("sessions opened"), std::string::npos) << out;
 }
 
+/// `set memo` switches the cross-query result cache and nothing else: with
+/// it off a repeated query runs its sweep again, with it on the repeat is
+/// served from the answer the first run stored.
+TEST(ShellTest, SetMemoSwitchesTheResultCache) {
+  const std::string out = RunShellScript(R"(unknown Jack
+fact MURDERER(Jack)
+known Victoria
+distinct Jack Victoria
+set memo off
+exact (x) . !MURDERER(x)
+exact (x) . !MURDERER(x)
+stats
+set memo on
+exact (x) . !MURDERER(x)
+exact (x) . !MURDERER(x)
+stats
+)");
+  EXPECT_EQ(out.find("error:"), std::string::npos) << out;
+  const size_t on = out.find("memo = on");
+  ASSERT_NE(on, std::string::npos) << out;
+  const std::string off_part = out.substr(0, on);
+  const std::string on_part = out.substr(on);
+  EXPECT_NE(off_part.find("memo = off"), std::string::npos) << out;
+  EXPECT_NE(off_part.find("result cache: 0 hits"), std::string::npos) << out;
+  EXPECT_NE(off_part.find(" mappings, ok, memo"), std::string::npos) << out;
+  EXPECT_EQ(off_part.find(", cached"), std::string::npos) << out;
+  EXPECT_NE(on_part.find("result cache: 1 hits"), std::string::npos) << out;
+  EXPECT_NE(on_part.find(" mappings, ok, cached, memo"), std::string::npos)
+      << out;
+  // `set memo on` leaves the kernel memo at its default, which is off for
+  // the compiled check the `exact` engine runs here.
+  EXPECT_NE(on_part.find("kernel memo: 0 row hits, 0 row misses"),
+            std::string::npos)
+      << out;
+}
+
 TEST(ShellTest, ExecuteRejectsBogusHandles) {
   std::string out = RunShellScript(R"(known A
 fact P(A)

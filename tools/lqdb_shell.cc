@@ -92,8 +92,8 @@ constexpr const char* kHelp = R"(commands:
                          identical)
   set max_mappings N     Theorem 1 enumeration budget per query
   set join_cap N         DP join-order cap (0 = always greedy)
-  set memo on|off        kernel-verdict memoization and the cross-query
-                         result cache (on by default; identical answers)
+  set memo on|off        the cross-query result cache (on by default;
+                         identical answers)
   plan QUERY             show Q^ and its relational-algebra plan
   explain QUERY          how the compiled path evaluates QUERY: its plan
                          annotated with per-node cardinality estimates
@@ -259,9 +259,7 @@ class Shell {
         Report(Status::InvalidArgument("set memo expects 'on' or 'off'"));
         return;
       }
-      const bool on = value == "on";
-      options_.exact.memo = on;
-      use_result_cache_ = on;
+      use_result_cache_ = value == "on";
       current_ = SIZE_MAX;
       std::printf("memo = %s\n", value.c_str());
     } else if (key == "join_cap") {
@@ -587,7 +585,6 @@ class Shell {
       if (o.engine == engine &&
           o.engine_options.exact.threads == options_.exact.threads &&
           o.use_result_cache == use_result_cache_ &&
-          o.engine_options.exact.memo == options_.exact.memo &&
           o.engine_options.exact.ra_dp_join_cap ==
               options_.exact.ra_dp_join_cap &&
           o.engine_options.exact.max_mappings ==
@@ -608,8 +605,8 @@ class Shell {
   std::unique_ptr<CwDatabase> lb_;
   std::string engine_name_ = "exact";
   EngineOptions options_;
-  /// `set memo` flips this together with the engines' memo flags, so one
-  /// switch A/Bs both reuse levels.
+  /// `set memo`: whether sessions serve answers stored on prepared
+  /// statements. The kernel memo keeps its default (`ExactOptions::memo`).
   bool use_result_cache_ = true;
 
   /// The shell is a service client: `service_` borrows `lb_` and is
