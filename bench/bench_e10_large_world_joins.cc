@@ -8,10 +8,10 @@
 // bigger in relational volume — tens of constants, hundreds to thousands
 // of facts — while keeping only two unknown constants, so the mapping
 // count stays in the thousands and the per-image query evaluation is the
-// bottleneck. This is the regime the flat arena tables, the join-order DP
-// and the semijoin reduction were built for, and the in-snapshot table
-// below is the gate for routing the default `exact` engine to the
-// compiled path.
+// bottleneck. This is the regime the reused flat hash tables, the
+// join-order DP and the semijoin reduction were built for, and the
+// in-snapshot table below is the gate for routing the default `exact`
+// engine to the compiled path.
 //
 // Row naming: "BM_LargeWorld/batched-exact/..." vs "BM_LargeWorld/exact/..."
 // form a pairable name pair for `tools/collect_bench.py`, each row built

@@ -1,6 +1,6 @@
 // E1 — Data complexity: LOGSPACE (physical) vs co-NP (logical).
 //
-// Paper claims reproduced (DESIGN.md §4, EXPERIMENTS.md E1):
+// Paper claims reproduced (the E1 row of bench/README.md):
 //   * Theorem 4(1): first-order data complexity over *physical* databases
 //     is in LOGSPACE — evaluation cost is polynomial in the database and
 //     does not depend on how many values are unknown.

@@ -41,7 +41,8 @@ const char* FamilyName(int family) {
 void BM_ReductionDecides(benchmark::State& state) {
   Graph g = MakeGraph(static_cast<int>(state.range(0)),
                       static_cast<int>(state.range(1)));
-  auto red = BuildColoringReduction(g).value();
+  auto built = BuildColoringReduction(g);
+  auto& red = built.value();
   ExactEvaluator exact(&red.lb);
   bool colorable = false;
   for (auto _ : state) {
@@ -87,7 +88,8 @@ void PrintSummaryTable() {
                       {2, 4}, {2, 5}, {2, 6}, {2, 7}};
   for (const Row& row : rows) {
     Graph g = MakeGraph(row.family, row.n);
-    auto red = BuildColoringReduction(g).value();
+    auto built = BuildColoringReduction(g);
+    auto& red = built.value();
     ExactEvaluator exact(&red.lb);
     bool by_logic = false;
     double logic_s = Seconds([&] {

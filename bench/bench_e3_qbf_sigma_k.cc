@@ -32,7 +32,8 @@ void BM_ReductionEval(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const int width = static_cast<int>(state.range(1));
   Qbf qbf = RandomQbf(ShapeFor(k, width), 8, /*seed=*/13 * k + width);
-  auto red = BuildQbfReduction(qbf).value();
+  auto built = BuildQbfReduction(qbf);
+  auto& red = built.value();
   ExactEvaluator exact(&red.lb);
   for (auto _ : state) {
     auto certain = exact.Contains(red.query, {});
@@ -73,7 +74,8 @@ void PrintSummaryTable() {
       for (int inst = 0; inst < kInstances; ++inst) {
         Qbf qbf = RandomQbf(ShapeFor(k, width), 8,
                             /*seed=*/100 * k + 10 * width + inst);
-        auto red = BuildQbfReduction(qbf).value();
+        auto built = BuildQbfReduction(qbf);
+        auto& red = built.value();
         // Sanity: the reduction really produces a Σₖ query.
         if (k > 0 && !InSigmaFoK(red.query.body(), k)) continue;
         ExactEvaluator exact(&red.lb);

@@ -32,16 +32,16 @@ Sample Measure(int unknowns, uint64_t seed, const std::string& query_text) {
   auto lb = MakeOrgDatabase(/*known=*/7, unknowns, seed);
   Query q = MustParse(lb.get(), query_text);
   ExactEvaluator exact(lb.get());
-  Relation exact_answer = exact.Answer(q).value();
-  Relation possible_answer = exact.PossibleAnswer(q).value();
+  Result<Relation> exact_answer = exact.Answer(q);
+  Result<Relation> possible_answer = exact.PossibleAnswer(q);
   auto approx = ApproxEvaluator::Make(lb.get()).value();
-  Relation approx_answer = approx->Answer(q).value();
+  Result<Relation> approx_answer = approx->Answer(q);
   Sample s;
-  s.exact_size = exact_answer.size();
-  s.possible_size = possible_answer.size();
-  s.approx_size = approx_answer.size();
-  for (const Tuple& t : approx_answer.tuples()) {
-    if (!exact_answer.Contains(t)) ++s.violations;
+  s.exact_size = exact_answer.value().size();
+  s.possible_size = possible_answer.value().size();
+  s.approx_size = approx_answer.value().size();
+  for (const Tuple& t : approx_answer.value().tuples()) {
+    if (!exact_answer.value().Contains(t)) ++s.violations;
   }
   return s;
 }

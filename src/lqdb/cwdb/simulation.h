@@ -25,7 +25,7 @@ namespace lqdb {
 /// query body over the primed predicates.
 ///
 /// Two details the paper leaves implicit are made explicit here (and
-/// validated against `ExactEvaluator` in tests; see DESIGN.md):
+/// validated against `ExactEvaluator` in tests/simulation_test.cc):
 ///   * **Constants**: `h(Ph₁)` interprets a constant `c` as `h(c)`, while
 ///     `Ph₂` interprets it as `c` itself, so ψ also binds one image
 ///     variable `w_c` with `H(c, w_c)` per constant of φ and φ' speaks

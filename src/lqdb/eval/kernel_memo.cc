@@ -6,15 +6,6 @@ namespace lqdb {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v;
-  h *= kFnvPrime;
-  return h;
-}
-
 /// Whether the transposition `(a b)` maps the fact set onto itself. Scans
 /// every fact once, charging the budget per tuple visited; `*exhausted`
 /// rises (and the check conservatively fails) when the budget runs dry.
@@ -86,8 +77,8 @@ KernelSignatureContext::KernelSignatureContext(
           }
         }
         if (seen) continue;  // one profile term per (tuple, constant)
-        uint64_t h = Mix(kFnvOffset, p);
-        for (Value v : t) h = Mix(h, v == c ? kSelf : v);
+        uint64_t h = HashStep(kHashSeed, p);
+        for (Value v : t) h = HashStep(h, v == c ? kSelf : v);
         profile[c] += h | 1;  // commutative; |1 keeps zero meaning "no facts"
         ++occurrences[c];
       }
@@ -207,8 +198,8 @@ uint32_t KernelMemo::InternSignature(const std::string& sig) {
 
 uint64_t KernelMemo::HashRow(uint32_t sig_id, const Value* row,
                              size_t arity) {
-  uint64_t h = Mix(kFnvOffset, sig_id);
-  for (size_t i = 0; i < arity; ++i) h = Mix(h, row[i]);
+  uint64_t h = HashStep(kHashSeed, sig_id);
+  for (size_t i = 0; i < arity; ++i) h = HashStep(h, row[i]);
   return h;
 }
 

@@ -134,13 +134,13 @@ class ExactEvaluator {
                         std::optional<Counterexample>* counterexample =
                             nullptr);
 
-  /// The dual of `Answer` (an extension beyond the paper, marked as such in
-  /// DESIGN.md): tuples that hold in *at least one* model of the theory —
-  /// `{c : T ∪ {φ(c)} is finitely satisfiable}`. Certain ⊆ possible; the
-  /// gap between the two relations is exactly the information lost to the
-  /// unknown values. The same Theorem 1 machinery applies with the
-  /// quantifier flipped (∃h instead of ∀h), making this the NP face of the
-  /// co-NP problem.
+  /// The dual of `Answer` (an extension beyond the paper, which defines
+  /// only certain answers): tuples that hold in *at least one* model of the
+  /// theory — `{c : T ∪ {φ(c)} is finitely satisfiable}`. Certain ⊆
+  /// possible; the gap between the two relations is exactly the
+  /// information lost to the unknown values. The same Theorem 1 machinery
+  /// applies with the quantifier flipped (∃h instead of ∀h), making this
+  /// the NP face of the co-NP problem.
   Result<Relation> PossibleAnswer(const Query& query);
 
   /// `PossibleAnswer` over a pre-bound query (see `AnswerBound`).

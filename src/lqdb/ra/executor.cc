@@ -81,8 +81,8 @@ Status RaExecutor::ExecNode(const Plan& plan, Slot* slot) {
     case PlanKind::kDomainScan: return ExecDomainScan(plan, slot);
     case PlanKind::kEqDomain: return ExecEqDomain(plan, slot);
     case PlanKind::kJoin: return ExecJoin(plan, slot);
-    case PlanKind::kAntiJoin: return ExecAntiJoin(plan, slot);
-    case PlanKind::kSemiJoin: return ExecSemiJoin(plan, slot);
+    case PlanKind::kAntiJoin:
+    case PlanKind::kSemiJoin: return ExecSemiOrAntiJoin(plan, slot);
     case PlanKind::kUnion: return ExecUnion(plan, slot);
     case PlanKind::kProject: return ExecProject(plan, slot);
     case PlanKind::kParam: return ExecParam(plan, slot);
@@ -179,8 +179,7 @@ void RaExecutor::ResetOut(const Plan& plan, Slot* slot) {
     slot->table.schema = plan.schema();
     slot->meta_ready = true;
   }
-  slot->table.rows.Reset(&arena_,
-                         static_cast<uint32_t>(plan.schema().size()));
+  slot->table.rows.Reset(static_cast<uint32_t>(plan.schema().size()));
 }
 
 Status RaExecutor::ExecScan(const Plan& plan, Slot* slot) {
@@ -268,7 +267,7 @@ Status RaExecutor::ExecJoin(const Plan& plan, Slot* slot) {
       left_build ? slot->key_a : slot->key_b;
   const std::vector<uint32_t>& probe_key =
       left_build ? slot->key_b : slot->key_a;
-  slot->index.Build(&arena_, &build, build_key.data(), build_key.size());
+  slot->index.Build(&build, build_key.data(), build_key.size());
 
   const size_t lar = plan.left()->schema().size();
   row_scratch_.resize(plan.schema().size());
@@ -293,13 +292,16 @@ Status RaExecutor::ExecJoin(const Plan& plan, Slot* slot) {
   return Status::OK();
 }
 
-Status RaExecutor::ExecAntiJoin(const Plan& plan, Slot* slot) {
+Status RaExecutor::ExecSemiOrAntiJoin(const Plan& plan, Slot* slot) {
   LQDB_ASSIGN_OR_RETURN(const RaTableView* left, Exec(plan.left()));
   LQDB_ASSIGN_OR_RETURN(const RaTableView* right, Exec(plan.right()));
   ResetOut(plan, slot);
 
+  // Hash the right side's keys; a semijoin keeps the left rows whose key
+  // is present, an anti-join those whose key is absent.
+  const bool keep_present = plan.kind() == PlanKind::kSemiJoin;
   const size_t nkey = slot->key_a.size();
-  slot->key_set.Reset(&arena_, static_cast<uint32_t>(nkey));
+  slot->key_set.Reset(static_cast<uint32_t>(nkey));
   key_scratch_.resize(nkey);
   for (size_t r = 0; r < right->rows.size(); ++r) {
     const Value* row = right->rows.row(r);
@@ -309,30 +311,7 @@ Status RaExecutor::ExecAntiJoin(const Plan& plan, Slot* slot) {
   for (size_t l = 0; l < left->rows.size(); ++l) {
     const Value* row = left->rows.row(l);
     for (size_t i = 0; i < nkey; ++i) key_scratch_[i] = row[slot->key_a[i]];
-    if (!slot->key_set.Contains(key_scratch_.data())) {
-      slot->table.rows.Insert(row);
-    }
-  }
-  return Status::OK();
-}
-
-Status RaExecutor::ExecSemiJoin(const Plan& plan, Slot* slot) {
-  LQDB_ASSIGN_OR_RETURN(const RaTableView* left, Exec(plan.left()));
-  LQDB_ASSIGN_OR_RETURN(const RaTableView* right, Exec(plan.right()));
-  ResetOut(plan, slot);
-
-  const size_t nkey = slot->key_a.size();
-  slot->key_set.Reset(&arena_, static_cast<uint32_t>(nkey));
-  key_scratch_.resize(nkey);
-  for (size_t r = 0; r < right->rows.size(); ++r) {
-    const Value* row = right->rows.row(r);
-    for (size_t i = 0; i < nkey; ++i) key_scratch_[i] = row[slot->key_b[i]];
-    slot->key_set.Insert(key_scratch_.data());
-  }
-  for (size_t l = 0; l < left->rows.size(); ++l) {
-    const Value* row = left->rows.row(l);
-    for (size_t i = 0; i < nkey; ++i) key_scratch_[i] = row[slot->key_a[i]];
-    if (slot->key_set.Contains(key_scratch_.data())) {
+    if (slot->key_set.Contains(key_scratch_.data()) == keep_present) {
       slot->table.rows.Insert(row);
     }
   }

@@ -9,7 +9,6 @@
 #include "lqdb/ra/flat_table.h"
 #include "lqdb/ra/plan.h"
 #include "lqdb/relational/database.h"
-#include "lqdb/util/arena.h"
 #include "lqdb/util/result.h"
 
 namespace lqdb {
@@ -26,9 +25,9 @@ struct RaTable {
       : schema(std::move(s)), rel(std::move(r)) {}
 };
 
-/// The zero-copy result form: schema plus an arena-backed flat table that
-/// lives in the executor's slot storage. Returned by `ExecuteView` for the
-/// Theorem 1 inner loops.
+/// The zero-copy result form: schema plus a flat table that lives in the
+/// executor's slot storage. Returned by `ExecuteView` for the Theorem 1
+/// inner loops.
 struct RaTableView {
   std::vector<VarId> schema;
   FlatTable rows;
@@ -58,12 +57,12 @@ struct RaTableView {
 ///   - the stored relations are copied once into one flat row-major array
 ///     and re-copied only when the database changes (`version()`), so the
 ///     scans of a sweep walk contiguous rows and no image is built;
-///   - every plan node owns a slot holding an arena-backed `FlatTable`
-///     (flat row array + open-addressing slot array) that is emptied, not
-///     destroyed, between executions, so the steady state performs **no
-///     allocation at all**: rows land in recycled arena storage, hash
-///     probes walk recycled slot arrays, and the per-node join index /
-///     key-set scratch is recycled the same way;
+///   - every plan node owns a slot holding a `FlatTable` (flat row array
+///     + open-addressing slot array) that is emptied, not destroyed,
+///     between executions and keeps its capacity, so once every table has
+///     held its largest image the steady state performs **no allocation
+///     at all**; the per-node join index and key-set scratch are recycled
+///     the same way;
 ///   - per-node column metadata (join keys, projection positions, scan
 ///     filters) depends only on the plan shape, so it is computed once per
 ///     node and reused for every mapping;
@@ -140,8 +139,9 @@ class RaExecutor {
   Status ExecDomainScan(const Plan& plan, Slot* slot);
   Status ExecEqDomain(const Plan& plan, Slot* slot);
   Status ExecJoin(const Plan& plan, Slot* slot);
-  Status ExecAntiJoin(const Plan& plan, Slot* slot);
-  Status ExecSemiJoin(const Plan& plan, Slot* slot);
+  /// `kSemiJoin` and `kAntiJoin`, which differ only in the polarity of
+  /// their key filter.
+  Status ExecSemiOrAntiJoin(const Plan& plan, Slot* slot);
   Status ExecUnion(const Plan& plan, Slot* slot);
   Status ExecProject(const Plan& plan, Slot* slot);
   Status ExecParam(const Plan& plan, Slot* slot);
@@ -183,10 +183,6 @@ class RaExecutor {
   uint64_t facts_version_ = UINT64_MAX;
   size_t value_bound_ = 0;
   uint64_t epoch_ = 0;
-  /// Never reset while the executor lives: slot tables grow into it and
-  /// keep their storage across images (abandoned-on-growth arrays are
-  /// bounded by the doubling policy).
-  MemArena arena_;
   std::unordered_map<const Plan*, Slot> slots_;
   std::unordered_map<const Plan*, ParamBinding> params_;
   std::vector<Value> row_scratch_;

@@ -1,23 +1,21 @@
 #ifndef LQDB_RA_FLAT_TABLE_H_
 #define LQDB_RA_FLAT_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
+#include <vector>
 
 #include "lqdb/relational/relation.h"
 #include "lqdb/relational/tuple.h"
-#include "lqdb/util/arena.h"
 
 namespace lqdb {
 
 /// A duplicate-free relation stored as a flat row-major `Value` array plus
-/// an open-addressing slot array (linear probing, power-of-two sizes). All
-/// storage comes from a `MemArena`, so per-image table churn in the
-/// Theorem 1 inner loop is pointer bumps, not malloc/free: `Reset()` keeps
-/// the row and slot arrays and only clears the occupancy, and growth
-/// re-allocates from the arena (the abandoned arrays stay in the arena
-/// until it is destroyed — bounded by doubling, so steady state allocates
-/// nothing).
+/// an open-addressing slot array (linear probing, power-of-two sizes). Both
+/// arrays are vectors the table owns. `Reset()` keeps their capacity and
+/// only clears the occupancy, and both grow by doubling from 64 rows and
+/// 64 slots, so a table reused across the images of a Theorem 1 sweep
+/// stops allocating once it has held its largest image.
 ///
 /// Row indices are `uint32_t`; `kNone` marks an empty slot. Not
 /// thread-safe.
@@ -27,26 +25,14 @@ class FlatTable {
 
   FlatTable() = default;
 
-  /// Empties the table and (re)binds it to `arena` with the given arity.
-  /// Capacity is kept when the arena and arity are unchanged — the
-  /// cross-image reuse path.
-  void Reset(MemArena* arena, uint32_t arity) {
-    if (arena_ != arena) {
-      arena_ = arena;
-      rows_ = nullptr;
-      slots_ = nullptr;
-      cap_rows_ = 0;
-      num_slots_ = 0;
-    }
+  /// Empties the table and sets its arity, keeping capacity.
+  void Reset(uint32_t arity) {
     if (arity != arity_) {
       arity_ = arity;
-      rows_ = nullptr;
-      cap_rows_ = 0;
+      rows_.clear();
     }
     num_rows_ = 0;
-    if (num_slots_ > 0) {
-      std::memset(slots_, 0xFF, num_slots_ * sizeof(uint32_t));
-    }
+    std::fill(slots_.begin(), slots_.end(), kNone);
   }
 
   uint32_t arity() const { return arity_; }
@@ -54,33 +40,37 @@ class FlatTable {
   bool empty() const { return num_rows_ == 0; }
 
   /// Row `i` as a pointer to `arity()` contiguous values.
-  const Value* row(size_t i) const { return rows_ + size_t{arity_} * i; }
+  const Value* row(size_t i) const {
+    return rows_.data() + size_t{arity_} * i;
+  }
 
   /// Inserts a row of `arity()` values; returns true when newly inserted.
   bool Insert(const Value* row) {
-    if (num_slots_ == 0) Grow();
-    size_t i = Hash(row) & (num_slots_ - 1);
+    if (slots_.empty()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash(row) & mask;
     while (slots_[i] != kNone) {
       if (RowEquals(slots_[i], row)) return false;
-      i = (i + 1) & (num_slots_ - 1);
+      i = (i + 1) & mask;
     }
-    if (num_rows_ == cap_rows_) GrowRows();
-    if (arity_ > 0) {
-      std::memcpy(rows_ + size_t{arity_} * num_rows_, row,
-                  arity_ * sizeof(Value));
+    const size_t at = num_rows_ * arity_;
+    if (at + arity_ > rows_.size()) {
+      rows_.resize(std::max(size_t{64} * arity_, rows_.size() * 2));
     }
+    std::copy(row, row + arity_, rows_.begin() + at);
     slots_[i] = static_cast<uint32_t>(num_rows_++);
     // Load factor 3/4: rehash before probes cluster.
-    if (num_rows_ * 4 >= num_slots_ * 3) Grow();
+    if (num_rows_ * 4 >= slots_.size() * 3) Grow();
     return true;
   }
 
   bool Contains(const Value* row) const {
-    if (num_slots_ == 0) return false;
-    size_t i = Hash(row) & (num_slots_ - 1);
+    if (slots_.empty()) return false;
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash(row) & mask;
     while (slots_[i] != kNone) {
       if (RowEquals(slots_[i], row)) return true;
-      i = (i + 1) & (num_slots_ - 1);
+      i = (i + 1) & mask;
     }
     return false;
   }
@@ -99,20 +89,11 @@ class FlatTable {
     return rel;
   }
 
-  /// FNV-1a over the row values; shared with `JoinIndex` so probe keys and
-  /// stored rows hash identically.
-  static size_t HashSpan(const Value* v, size_t n) {
-    size_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-      h ^= v[i];
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
  private:
-  size_t Hash(const Value* row) const { return HashSpan(row, arity_); }
+  size_t Hash(const Value* row) const { return HashValues(row, arity_); }
 
+  // A loop, not std::equal: that lowers to a memcmp call, which costs
+  // more than comparing the one to three values of a typical row.
   bool RowEquals(uint32_t idx, const Value* r) const {
     const Value* stored = row(idx);
     for (uint32_t c = 0; c < arity_; ++c) {
@@ -121,77 +102,51 @@ class FlatTable {
     return true;
   }
 
-  void GrowRows() {
-    const size_t cap = cap_rows_ == 0 ? 64 : cap_rows_ * 2;
-    Value* fresh = arena_->NewArray<Value>(cap * arity_);
-    if (num_rows_ > 0 && arity_ > 0) {
-      std::memcpy(fresh, rows_, num_rows_ * arity_ * sizeof(Value));
-    }
-    rows_ = fresh;
-    cap_rows_ = cap;
-  }
-
   /// Doubles (or initializes) the slot array and re-seats every row.
   void Grow() {
-    const size_t fresh_slots = num_slots_ == 0 ? 64 : num_slots_ * 2;
-    slots_ = arena_->NewArray<uint32_t>(fresh_slots);
-    std::memset(slots_, 0xFF, fresh_slots * sizeof(uint32_t));
-    num_slots_ = fresh_slots;
+    slots_.assign(slots_.empty() ? 64 : slots_.size() * 2, kNone);
+    const size_t mask = slots_.size() - 1;
     for (size_t r = 0; r < num_rows_; ++r) {
-      size_t i = Hash(row(r)) & (num_slots_ - 1);
-      while (slots_[i] != kNone) i = (i + 1) & (num_slots_ - 1);
+      size_t i = Hash(row(r)) & mask;
+      while (slots_[i] != kNone) i = (i + 1) & mask;
       slots_[i] = static_cast<uint32_t>(r);
     }
   }
 
-  MemArena* arena_ = nullptr;
   uint32_t arity_ = 0;
-  Value* rows_ = nullptr;       // row-major, cap_rows_ * arity_ values
+  std::vector<Value> rows_;  // row-major; row capacity × arity values
   size_t num_rows_ = 0;
-  size_t cap_rows_ = 0;
-  uint32_t* slots_ = nullptr;   // row index or kNone; power-of-two length
-  size_t num_slots_ = 0;
+  std::vector<uint32_t> slots_;  // row index or kNone; power-of-two length
 };
 
 /// A reusable hash multimap from key columns of a `FlatTable` to its row
-/// chains, for hash joins: open-addressing head array plus a per-row next
-/// chain, both arena-backed and recycled across builds (the per-image join
-/// index of the Theorem 1 loop). `Build` is called once per executed join
-/// node per image; probes compare the probe key against the build rows'
-/// key columns directly, so no key copies are stored.
+/// chains, for hash joins: an open-addressing head array plus a per-row
+/// next chain, both kept across builds (the per-image join index of the
+/// Theorem 1 loop). `Build` is called once per executed join node per
+/// image; probes compare the probe key against the build rows' key columns
+/// directly, so no key copies are stored.
 class JoinIndex {
  public:
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
 
   JoinIndex() = default;
 
-  void Build(MemArena* arena, const FlatTable* table, const uint32_t* key_cols,
+  void Build(const FlatTable* table, const uint32_t* key_cols,
              size_t num_keys) {
     table_ = table;
     key_cols_ = key_cols;
     num_keys_ = num_keys;
     const size_t rows = table->size();
-    if (arena_ != arena) {
-      arena_ = arena;
-      heads_ = nullptr;
-      next_ = nullptr;
-      num_slots_ = 0;
-      next_cap_ = 0;
-    }
     size_t want = 64;
     while (want < rows * 2) want <<= 1;
-    if (num_slots_ < want) {
-      heads_ = arena->NewArray<uint32_t>(want);
-      num_slots_ = want;
-    }
-    std::memset(heads_, 0xFF, num_slots_ * sizeof(uint32_t));
-    if (next_cap_ < rows) {
-      size_t cap = next_cap_ == 0 ? 64 : next_cap_;
+    if (heads_.size() < want) heads_.resize(want);
+    std::fill(heads_.begin(), heads_.end(), kNone);
+    if (next_.size() < rows) {
+      size_t cap = std::max(next_.size(), size_t{64});
       while (cap < rows) cap *= 2;
-      next_ = arena->NewArray<uint32_t>(cap);
-      next_cap_ = cap;
+      next_.resize(cap);
     }
-    const size_t mask = num_slots_ - 1;
+    const size_t mask = heads_.size() - 1;
     for (uint32_t r = 0; r < rows; ++r) {
       size_t i = HashRow(r) & mask;
       while (heads_[i] != kNone && !RowsShareKey(heads_[i], r)) {
@@ -204,8 +159,8 @@ class JoinIndex {
 
   /// First build row matching `key` (`num_keys` values), or `kNone`.
   uint32_t First(const Value* key) const {
-    const size_t mask = num_slots_ - 1;
-    size_t i = FlatTable::HashSpan(key, num_keys_) & mask;
+    const size_t mask = heads_.size() - 1;
+    size_t i = HashValues(key, num_keys_) & mask;
     while (heads_[i] != kNone) {
       if (KeyEquals(heads_[i], key)) return heads_[i];
       i = (i + 1) & mask;
@@ -217,13 +172,12 @@ class JoinIndex {
   uint32_t Next(uint32_t row) const { return next_[row]; }
 
  private:
+  /// Hashes row `r`'s key columns in place, as `HashValues` hashes a probe
+  /// key holding the same values.
   size_t HashRow(uint32_t r) const {
     const Value* v = table_->row(r);
-    size_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < num_keys_; ++i) {
-      h ^= v[key_cols_[i]];
-      h *= 1099511628211ull;
-    }
+    uint64_t h = kHashSeed;
+    for (size_t i = 0; i < num_keys_; ++i) h = HashStep(h, v[key_cols_[i]]);
     return h;
   }
 
@@ -244,14 +198,11 @@ class JoinIndex {
     return true;
   }
 
-  MemArena* arena_ = nullptr;
   const FlatTable* table_ = nullptr;
   const uint32_t* key_cols_ = nullptr;
   size_t num_keys_ = 0;
-  uint32_t* heads_ = nullptr;
-  size_t num_slots_ = 0;
-  uint32_t* next_ = nullptr;
-  size_t next_cap_ = 0;
+  std::vector<uint32_t> heads_;  // power-of-two length
+  std::vector<uint32_t> next_;
 };
 
 }  // namespace lqdb

@@ -27,7 +27,7 @@ namespace lqdb {
 /// h(c_{1,j}) = h(1); the second-order quantifiers simulate the remaining
 /// blocks.
 ///
-/// Deviation from the paper, documented in DESIGN.md: the paper's
+/// Deviation from the paper: the paper's
 /// uniqueness axioms cover exactly the pairs among levels ≥ 2; making those
 /// constants *known* here additionally separates them from `1`. The extra
 /// axioms only exclude mappings that neither direction of the proof needs,

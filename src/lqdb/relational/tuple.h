@@ -18,15 +18,25 @@ using Value = uint32_t;
 /// A database tuple: a fixed-length vector of domain values.
 using Tuple = std::vector<Value>;
 
+/// The one row hash, FNV-1a over the value words: `HashValues` hashes a
+/// span from `kHashSeed`, and `HashStep` folds in one value, for callers
+/// that hash values in place (a `JoinIndex` row's key columns) and must
+/// match `HashValues` over the same values in order.
+constexpr uint64_t kHashSeed = 1469598103934665603ull;
+
+inline uint64_t HashStep(uint64_t h, Value v) {
+  return (h ^ v) * 1099511628211ull;
+}
+
+inline uint64_t HashValues(const Value* v, size_t n) {
+  uint64_t h = kHashSeed;
+  for (size_t i = 0; i < n; ++i) h = HashStep(h, v[i]);
+  return h;
+}
+
 struct TupleHash {
   size_t operator()(const Tuple& t) const {
-    // FNV-1a over the value words.
-    size_t h = 1469598103934665603ull;
-    for (Value v : t) {
-      h ^= v;
-      h *= 1099511628211ull;
-    }
-    return h;
+    return HashValues(t.data(), t.size());
   }
 };
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #include "lqdb/cwdb/mapping.h"
@@ -16,6 +18,34 @@
 #include "lqdb/ra/semijoin.h"
 #include "lqdb/util/rng.h"
 #include "testing.h"
+
+namespace {
+
+// The heap allocations this thread makes while `t_count_allocations` is
+// set, counted by the replaced global allocation functions below, so a
+// test can assert that a loop allocates nothing.
+thread_local bool t_count_allocations = false;
+thread_local size_t t_allocations = 0;
+
+void* CountedMalloc(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+// All scalar forms are replaced, so that a sanitizer runtime's own forms
+// never free what these allocate, or the reverse.
+void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace lqdb {
 namespace {
@@ -629,6 +659,205 @@ TEST(RaReadThroughTest, ReadingThroughAMappingEqualsBuildingTheImage) {
     }
   }
   EXPECT_GT(images, 1000u);
+}
+
+bool HasKind(const PlanPtr& plan, PlanKind kind) {
+  if (plan->kind() == kind) return true;
+  for (const PlanPtr& child : plan->children()) {
+    if (HasKind(child, kind)) return true;
+  }
+  return false;
+}
+
+/// The steady state of a Theorem 1 sweep allocates nothing: one executor
+/// runs one reduced plan under every canonical mapping, reading `Ph₁`
+/// through the mapping and binding the mapped candidates as the sweep
+/// does, and once a first pass has grown every table to its largest image,
+/// a second pass over the same mappings makes no heap allocation inside
+/// the executor. Only the executor calls are counted: the mapping walker
+/// allocates as it opens blocks.
+TEST(RaExecutorAllocationTest, ASecondSweepAllocatesNothing) {
+  const struct {
+    const char* text;
+    PlanKind kind;
+  } cases[] = {
+      {"(x, y) . exists z. R0(x, z) & R0(z, y)", PlanKind::kJoin},
+      {"(x) . P0(x) & !R0(x, x)", PlanKind::kAntiJoin},
+      {"(x) . forall y. R0(x, y) -> P0(y)", PlanKind::kAntiJoin},
+  };
+  RandomDbParams params;
+  params.num_known = 4;
+  params.num_unknown = 3;
+  params.num_facts = 60;
+  for (const auto& c : cases) {
+    std::unique_ptr<CwDatabase> lb = RandomCwDatabase(7, params);
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(lb->mutable_vocab(), c.text));
+    const PhysicalDatabase ph1 = MakePh1(*lb);
+    RaCompiler compiler(&lb->vocab());
+    ASSERT_OK_AND_ASSIGN(PlanPtr plan, compiler.Compile(q));
+    ASSERT_OK_AND_ASSIGN(ReducedPlan red, SemijoinReduce(plan));
+    ASSERT_TRUE(HasKind(red.plan, c.kind)) << red.plan->ToString(lb->vocab());
+    ASSERT_NE(red.param, nullptr);
+    const std::vector<Tuple> candidates = AllCandidateTuples(
+        q.arity(), static_cast<ConstId>(lb->num_constants()));
+    RaExecutor exec(&ph1);
+    std::vector<Value> rows;
+    auto sweep = [&] {
+      size_t allocations = 0;
+      ForEachCanonicalMapping(*lb, [&](const ConstMapping& h) {
+        rows.clear();
+        for (const Tuple& t : candidates) {
+          for (Value v : t) rows.push_back(h[v]);
+        }
+        t_allocations = 0;
+        t_count_allocations = true;
+        exec.ReadThrough(&h);
+        exec.BindParam(red.param.get(), rows.data(), candidates.size());
+        const bool ok = exec.ExecuteView(red.plan).ok();
+        t_count_allocations = false;
+        allocations += t_allocations;
+        EXPECT_TRUE(ok);
+        return ok;
+      });
+      return allocations;
+    };
+    EXPECT_GT(sweep(), 0u) << c.text;
+    EXPECT_EQ(sweep(), 0u) << c.text;
+  }
+}
+
+std::vector<Value> Row(const FlatTable& t, size_t i) {
+  return std::vector<Value>(t.row(i), t.row(i) + t.arity());
+}
+
+TEST(FlatTableTest, GrowsPastItsFirstArraysAndKeepsInsertionOrder) {
+  FlatTable t;
+  t.Reset(2);
+  // 1000 rows cross the 64-row start and many 3/4-load rehashes.
+  for (Value i = 0; i < 1000; ++i) {
+    const Value row[2] = {i % 7, i};
+    EXPECT_TRUE(t.Insert(row));
+  }
+  ASSERT_EQ(t.size(), 1000u);
+  for (Value i = 0; i < 1000; ++i) {
+    EXPECT_EQ(Row(t, i), (std::vector<Value>{i % 7, i}));
+    EXPECT_TRUE(t.Contains(Tuple{i % 7, i}));
+  }
+  EXPECT_FALSE(t.Contains(Tuple{1, 0}));
+  EXPECT_FALSE(t.Contains(Tuple{0}));  // wrong arity
+}
+
+TEST(FlatTableTest, ADuplicateInsertReturnsFalse) {
+  FlatTable t;
+  t.Reset(3);
+  const Value row[3] = {4, 5, 6};
+  EXPECT_TRUE(t.Insert(row));
+  EXPECT_FALSE(t.Insert(row));
+  const Value copy[3] = {4, 5, 6};
+  EXPECT_FALSE(t.Insert(copy));
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(FlatTableTest, AnArityZeroTableHoldsAtMostTheEmptyRow) {
+  FlatTable t;
+  t.Reset(0);
+  EXPECT_TRUE(t.empty());
+  EXPECT_FALSE(t.Contains(Tuple{}));
+  EXPECT_TRUE(t.Insert(nullptr));
+  EXPECT_FALSE(t.Insert(nullptr));
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_TRUE(t.Contains(Tuple{}));
+  EXPECT_EQ(t.ToRelation().size(), 1u);
+  t.Reset(0);
+  EXPECT_FALSE(t.Contains(Tuple{}));
+}
+
+TEST(FlatTableTest, ResetToAnotherArityEmptiesTheTable) {
+  FlatTable t;
+  t.Reset(2);
+  for (Value i = 0; i < 100; ++i) {
+    const Value row[2] = {i, i + 1};
+    t.Insert(row);
+  }
+  t.Reset(3);
+  EXPECT_EQ(t.arity(), 3u);
+  EXPECT_TRUE(t.empty());
+  EXPECT_FALSE(t.Contains(Tuple{0, 1, 2}));
+  for (Value i = 0; i < 70; ++i) {
+    const Value row[3] = {i, i, i};
+    EXPECT_TRUE(t.Insert(row));
+  }
+  ASSERT_EQ(t.size(), 70u);
+  EXPECT_EQ(Row(t, 69), (std::vector<Value>{69, 69, 69}));
+  EXPECT_FALSE(t.Contains(Tuple{0, 1, 2}));
+  t.Reset(2);
+  EXPECT_TRUE(t.empty());
+  EXPECT_FALSE(t.Contains(Tuple{0, 1}));
+}
+
+/// The build rows `index` chains under `key`, in chain order.
+std::vector<uint32_t> Chain(const JoinIndex& index, const Value* key) {
+  std::vector<uint32_t> rows;
+  for (uint32_t r = index.First(key); r != JoinIndex::kNone;
+       r = index.Next(r)) {
+    rows.push_back(r);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(JoinIndexTest, LongChainsOfEqualKeys) {
+  // Rows (k, i, k) for 4 keys × 100 rows, keyed on columns {2, 0}: build
+  // rows hash their key columns in place, probes hash the key as a span.
+  FlatTable t;
+  t.Reset(3);
+  for (Value k = 0; k < 4; ++k) {
+    for (Value i = 0; i < 100; ++i) {
+      const Value row[3] = {k, i, k};
+      t.Insert(row);
+    }
+  }
+  const uint32_t key_cols[2] = {2, 0};
+  JoinIndex index;
+  index.Build(&t, key_cols, 2);
+  for (Value k = 0; k < 4; ++k) {
+    const Value key[2] = {k, k};
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < 100; ++i) want.push_back(k * 100 + i);
+    EXPECT_EQ(Chain(index, key), want);
+  }
+  const Value absent[2] = {4, 4};
+  EXPECT_EQ(index.First(absent), JoinIndex::kNone);
+  const Value mixed[2] = {1, 2};
+  EXPECT_EQ(index.First(mixed), JoinIndex::kNone);
+}
+
+TEST(JoinIndexTest, ARebuildOverFewerRowsForgetsTheLastBuild) {
+  FlatTable t;
+  t.Reset(2);
+  for (Value i = 0; i < 300; ++i) {
+    const Value row[2] = {i, i % 3};
+    t.Insert(row);
+  }
+  const uint32_t key_cols[1] = {0};
+  JoinIndex index;
+  index.Build(&t, key_cols, 1);
+  const Value big = 250;
+  EXPECT_EQ(Chain(index, &big), std::vector<uint32_t>{250});
+
+  t.Reset(2);
+  for (Value i = 0; i < 5; ++i) {
+    const Value row[2] = {10 - i, i};
+    t.Insert(row);
+  }
+  index.Build(&t, key_cols, 1);
+  EXPECT_EQ(index.First(&big), JoinIndex::kNone);
+  for (Value i = 0; i < 5; ++i) {
+    const Value key = 10 - i;
+    EXPECT_EQ(Chain(index, &key), std::vector<uint32_t>{i});
+  }
+  const Value gone = 3;
+  EXPECT_EQ(index.First(&gone), JoinIndex::kNone);
 }
 
 TEST_F(CompilerEquivalenceTest, SecondOrderIsRejected) {

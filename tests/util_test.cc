@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "lqdb/util/arena.h"
 #include "lqdb/util/interner.h"
 #include "lqdb/util/parse.h"
 #include "lqdb/util/result.h"
@@ -137,27 +136,6 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(MemArenaTest, AllocationsAreAlignedAndCounted) {
-  MemArena arena;
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(arena.bytes_allocated(), 11u);
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  // Zero-byte requests still return a valid pointer.
-  EXPECT_NE(arena.Allocate(0), nullptr);
-}
-
-TEST(MemArenaTest, OverflowChainsNewBlocks) {
-  MemArena arena(/*block_bytes=*/64);
-  // Overflow the first block so a second (and an oversized third) chain on.
-  arena.Allocate(60, 1);
-  arena.Allocate(60, 1);
-  arena.Allocate(1000, 1);
-  EXPECT_GE(arena.num_blocks(), 3u);
 }
 
 TEST(ThreadPoolTest, AsyncReturnsFutureValues) {

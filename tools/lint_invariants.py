@@ -57,6 +57,14 @@ one-plan-printer
     plan with ``Plan::ToString``, which prints each node once and takes a
     per-node suffix for annotations.
 
+one-row-hash
+    The FNV-1a prime ``1099511628211`` under src/ outside
+    relational/tuple.h. The row hash was written four times (the tuple
+    hash, the flat table, the join index and the kernel memo), and a
+    ``JoinIndex`` probe, hashed as a span, only finds build rows hashed
+    column by column while the copies stay bit-identical. Hash with
+    ``HashValues`` / ``HashStep`` from lqdb/relational/tuple.h.
+
 Suppression: append ``// lint:allow(<rule>)`` to the offending line.
 
 Exit status: 0 when clean, 1 when any finding fires, 2 on usage errors.
@@ -92,6 +100,9 @@ PLAN_PRINTER_HOMES = (
     "src/lqdb/ra/plan.cc",
     "src/lqdb/ra/validate.cc",
 )
+
+# The one file under src/ that spells the row hash.
+ROW_HASH_HOME = "src/lqdb/relational/tuple.h"
 
 RULES = [
     {
@@ -162,6 +173,14 @@ RULES = [
                    "per-node suffix to ToString, lqdb/ra/plan.h)",
         "applies": lambda rel: (rel.startswith(("src/", "tools/"))
                                 and rel not in PLAN_PRINTER_HOMES),
+    },
+    {
+        "name": "one-row-hash",
+        "regex": re.compile(r"\b1099511628211"),
+        "message": "row hash written out again (use HashValues/HashStep "
+                   "from lqdb/relational/tuple.h)",
+        "applies": lambda rel: (rel.startswith("src/")
+                                and rel != ROW_HASH_HOME),
     },
 ]
 
